@@ -6,6 +6,10 @@
 //! back. Wait states from slow slaves (e.g. a wrapper executing an
 //! allocation) propagate to the master as delayed acknowledge — exactly
 //! how the paper's ISSs experience memory latency.
+//!
+//! One clock edge reads each master's `req` line once into a request
+//! mask; the arbiter picks from the mask, and waiting masters are counted
+//! by walking its set bits.
 
 use std::any::Any;
 
@@ -82,7 +86,7 @@ impl SlaveIf {
             size: sim.wire(format!("{prefix}.size"), 2),
             addr: sim.wire(format!("{prefix}.addr"), 32),
             wdata: sim.wire(format!("{prefix}.wdata"), 32),
-            master: sim.wire(format!("{prefix}.master"), 4),
+            master: sim.wire(format!("{prefix}.master"), MASTER_ID_BITS as u8),
             ack: sim.wire(format!("{prefix}.ack"), 1),
             rdata: sim.wire(format!("{prefix}.rdata"), 32),
         }
@@ -91,6 +95,73 @@ impl SlaveIf {
 
 /// Data returned to a master whose address decodes to no slave.
 pub const DECODE_ERROR_DATA: u32 = 0xDEAD_DEAD;
+
+/// Width of the [`SlaveIf::master`] wire.
+const MASTER_ID_BITS: u32 = 4;
+
+/// Most masters one interconnect serves: a granted master's index must
+/// fit the 4-bit [`SlaveIf::master`] wire. It also keeps every master
+/// within the `u32` request masks.
+pub const MAX_MASTERS: usize = 1 << MASTER_ID_BITS;
+
+/// Panics unless `n` masters fit [`MAX_MASTERS`].
+pub(crate) fn assert_master_count(n: usize) {
+    assert!(
+        n <= MAX_MASTERS,
+        "at most {MAX_MASTERS} bus masters (master id is {MASTER_ID_BITS} bits), got {n}"
+    );
+}
+
+/// The request-mask bit of master `i`.
+pub(crate) fn bit(i: usize) -> u32 {
+    1 << i
+}
+
+/// The set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// Reads every master's `req` line once: bit `i` is set when master `i`
+/// requests.
+pub(crate) fn request_lines(ctx: &Ctx<'_>, masters: &[MasterIf]) -> u32 {
+    masters.iter().enumerate().fold(0, |lines, (i, m)| {
+        if ctx.read_bit(m.req) {
+            lines | bit(i)
+        } else {
+            lines
+        }
+    })
+}
+
+/// Writes the low `n` bits of `mask` as one flag per master, lowest
+/// first.
+pub(crate) fn save_mask(w: &mut dmi_kernel::StateWriter, mask: u32, n: usize) {
+    for i in 0..n {
+        w.put_bool(mask & bit(i) != 0);
+    }
+}
+
+/// Reads `n` per-master flags written by [`save_mask`].
+pub(crate) fn load_mask(
+    r: &mut dmi_kernel::StateReader<'_>,
+    n: usize,
+    context: &'static str,
+) -> Result<u32, dmi_kernel::SnapshotError> {
+    let mut mask = 0;
+    for i in 0..n {
+        if r.get_bool(context)? {
+            mask |= bit(i);
+        }
+    }
+    Ok(mask)
+}
 
 /// Configuration of a [`SharedBus`].
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +247,9 @@ pub struct SharedBus {
     arbiter: Arbiter,
     config: BusConfig,
     state: BusState,
-    cooldown: Vec<bool>,
+    /// Masters in their post-ack cooldown, bit `i` for master `i`: a
+    /// master must drop `req` for a cycle before its next grant.
+    cooldown: u32,
     wait_cycles: Vec<u64>,
     slave_transactions: Vec<u64>,
     transactions: u64,
@@ -188,9 +261,6 @@ pub struct SharedBus {
     last_route: Option<(usize, usize)>,
     /// Transactions that skipped re-arbitration via grant retention.
     retained_grants: u64,
-    /// Reusable request-line buffer: the bus samples every master each
-    /// clock cycle, so this must not allocate per cycle.
-    req_scratch: Vec<bool>,
     /// Shared fault controller, when the system wired fault injection.
     /// `None` (the default) is the bit-identical pre-fault path.
     fault: Option<FaultHook>,
@@ -198,6 +268,10 @@ pub struct SharedBus {
 
 impl SharedBus {
     /// Creates a bus over the given interfaces and address map.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_MASTERS`] masters.
     pub fn new(
         name: impl Into<String>,
         clk: Wire,
@@ -208,6 +282,7 @@ impl SharedBus {
     ) -> Self {
         let n = masters.len();
         let p = slaves.len();
+        assert_master_count(n);
         SharedBus {
             name: name.into(),
             clk,
@@ -217,7 +292,7 @@ impl SharedBus {
             arbiter: Arbiter::new(config.arbiter, n),
             config,
             state: BusState::Idle,
-            cooldown: vec![false; n],
+            cooldown: 0,
             wait_cycles: vec![0; n],
             slave_transactions: vec![0; p],
             transactions: 0,
@@ -226,7 +301,6 @@ impl SharedBus {
             idle_cycles: 0,
             last_route: None,
             retained_grants: 0,
-            req_scratch: vec![false; n],
             fault: None,
         }
     }
@@ -251,24 +325,19 @@ impl SharedBus {
         }
     }
 
-    /// Samples live requests into the reusable scratch buffer
-    /// (`self.req_scratch`), with post-ack cooldown filtering.
-    /// Allocation-free: this runs every clock cycle.
-    fn sample_requests(&mut self, ctx: &Ctx<'_>) {
-        for i in 0..self.masters.len() {
-            let req = ctx.read_bit(self.masters[i].req);
-            if !req {
-                self.cooldown[i] = false;
-            }
-            self.req_scratch[i] = req && !self.cooldown[i];
-        }
+    /// Samples the request lines, one read per master, into a request
+    /// mask. A master leaves its post-ack cooldown when it drops `req`;
+    /// until then its request is filtered out.
+    fn sample_requests(&mut self, ctx: &Ctx<'_>) -> u32 {
+        let lines = request_lines(ctx, &self.masters);
+        self.cooldown &= lines;
+        lines & !self.cooldown
     }
 
-    fn count_waiters(wait_cycles: &mut [u64], reqs: &[bool], served: Option<usize>) {
-        for (i, &r) in reqs.iter().enumerate() {
-            if r && Some(i) != served {
-                wait_cycles[i] += 1;
-            }
+    /// Books a wait cycle to every requester but the one being served.
+    fn count_waiters(wait_cycles: &mut [u64], reqs: u32, served: usize) {
+        for i in bits(reqs & !bit(served)) {
+            wait_cycles[i] += 1;
         }
     }
 
@@ -301,17 +370,13 @@ impl Component for SharedBus {
                 }
             }
             Wake::Signal(_) if ctx.is_signal(self.clk) => {
-                self.sample_requests(ctx);
+                let reqs = self.sample_requests(ctx);
                 match self.state {
                     BusState::Idle => {
-                        match self.arbiter.pick(&self.req_scratch) {
+                        match self.arbiter.pick(reqs) {
                             Some(winner) => {
                                 self.busy_cycles += 1;
-                                Self::count_waiters(
-                                    &mut self.wait_cycles,
-                                    &self.req_scratch,
-                                    Some(winner),
-                                );
+                                Self::count_waiters(&mut self.wait_cycles, reqs, winner);
                                 let addr = ctx.read(self.masters[winner].addr) as u32;
                                 let f = match &self.fault {
                                     Some(hook) => hook.borrow_mut().bus_access(winner),
@@ -365,7 +430,7 @@ impl Component for SharedBus {
                         remaining,
                     } => {
                         self.busy_cycles += 1;
-                        Self::count_waiters(&mut self.wait_cycles, &self.req_scratch, Some(master));
+                        Self::count_waiters(&mut self.wait_cycles, reqs, master);
                         if remaining <= 1 {
                             self.forward(ctx, master, slave);
                         } else {
@@ -378,7 +443,7 @@ impl Component for SharedBus {
                     }
                     BusState::WaitSlave { master, slave } => {
                         self.busy_cycles += 1;
-                        Self::count_waiters(&mut self.wait_cycles, &self.req_scratch, Some(master));
+                        Self::count_waiters(&mut self.wait_cycles, reqs, master);
                         let s = self.slaves[slave];
                         if ctx.read_bit(s.ack) {
                             let data = ctx.read(s.rdata);
@@ -393,9 +458,9 @@ impl Component for SharedBus {
                     }
                     BusState::Complete { master } => {
                         self.busy_cycles += 1;
-                        Self::count_waiters(&mut self.wait_cycles, &self.req_scratch, Some(master));
+                        Self::count_waiters(&mut self.wait_cycles, reqs, master);
                         ctx.write_bit(self.masters[master].ack, false);
-                        self.cooldown[master] = true;
+                        self.cooldown |= bit(master);
                         self.transactions += 1;
                         self.state = BusState::Idle;
                     }
@@ -436,10 +501,8 @@ impl Component for SharedBus {
                 w.put_u64(master as u64);
             }
         }
-        w.put_u32(self.cooldown.len() as u32);
-        for c in &self.cooldown {
-            w.put_bool(*c);
-        }
+        w.put_u32(self.masters.len() as u32);
+        save_mask(w, self.cooldown, self.masters.len());
         for wc in &self.wait_cycles {
             w.put_u64(*wc);
         }
@@ -514,9 +577,7 @@ impl Component for SharedBus {
                 context: format!("snapshot bus has {cd} masters, target has {n}"),
             });
         }
-        for c in &mut self.cooldown {
-            *c = r.get_bool("bus cooldown flag")?;
-        }
+        self.cooldown = load_mask(r, n, "bus cooldown flag")?;
         for wc in &mut self.wait_cycles {
             *wc = r.get_u64("bus wait_cycles")?;
         }

@@ -6,6 +6,11 @@
 //! (4 ISSs × 4 memories), the crossbar is the ablation point showing how
 //! much of the observed degradation is interconnect contention rather than
 //! wrapper cost.
+//!
+//! One clock edge reads each master's `req` line once, decodes each
+//! eligible request's address once into per-lane request masks, and lets
+//! every idle lane arbitrate on its own mask: the cost of an edge grows
+//! with the number of masters, not with masters × lanes.
 
 use std::any::Any;
 
@@ -13,7 +18,10 @@ use dmi_core::{BusFault, FaultHook};
 use dmi_kernel::{Component, Ctx, Wake, Wire};
 
 use crate::arbiter::{Arbiter, ArbiterKind};
-use crate::bus::{BusStats, MasterIf, SlaveIf, DECODE_ERROR_DATA};
+use crate::bus::{
+    assert_master_count, bit, bits, load_mask, request_lines, save_mask, BusStats, MasterIf,
+    SlaveIf, DECODE_ERROR_DATA,
+};
 use crate::map::AddressMap;
 
 /// Configuration of a [`Crossbar`].
@@ -69,9 +77,12 @@ pub struct Crossbar {
     lane_last: Vec<Option<usize>>,
     /// Transactions that skipped re-arbitration via grant retention.
     retained_grants: u64,
-    cooldown: Vec<bool>,
-    /// Master currently being served (by any lane or error path).
-    in_service: Vec<bool>,
+    /// Masters in their post-ack cooldown, bit `i` for master `i`: a
+    /// master must drop `req` for a cycle before its next grant.
+    cooldown: u32,
+    /// Masters currently being served (by any lane or the error path),
+    /// bit `i` for master `i`.
+    in_service: u32,
     wait_cycles: Vec<u64>,
     slave_transactions: Vec<u64>,
     transactions: u64,
@@ -80,10 +91,10 @@ pub struct Crossbar {
     idle_cycles: u64,
     /// Error completions pending: master indices acked this cycle.
     error_complete: Vec<usize>,
-    /// Reusable request-line buffers: the crossbar samples every master
-    /// each clock cycle, so these must not allocate per cycle.
-    req_scratch: Vec<bool>,
-    lane_scratch: Vec<bool>,
+    /// This cycle's eligible requests per lane, bit `i` for master `i`,
+    /// filled by one address decode per request. Reused every cycle, so
+    /// the per-cycle path does not allocate.
+    lane_reqs: Vec<u32>,
     /// Shared fault controller, when the system wired fault injection.
     /// `None` (the default) is the bit-identical pre-fault path.
     fault: Option<FaultHook>,
@@ -114,6 +125,10 @@ impl Crossbar {
     }
 
     /// Creates a crossbar over the given interfaces and address map.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_MASTERS`](crate::MAX_MASTERS) masters.
     pub fn with_config(
         name: impl Into<String>,
         clk: Wire,
@@ -124,6 +139,7 @@ impl Crossbar {
     ) -> Self {
         let n = masters.len();
         let p = slaves.len();
+        assert_master_count(n);
         Crossbar {
             name: name.into(),
             clk,
@@ -135,8 +151,8 @@ impl Crossbar {
             arbiters: (0..p).map(|_| Arbiter::new(config.arbiter, n)).collect(),
             lane_last: vec![None; p],
             retained_grants: 0,
-            cooldown: vec![false; n],
-            in_service: vec![false; n],
+            cooldown: 0,
+            in_service: 0,
             wait_cycles: vec![0; n],
             slave_transactions: vec![0; p],
             transactions: 0,
@@ -144,8 +160,7 @@ impl Crossbar {
             busy_cycles: 0,
             idle_cycles: 0,
             error_complete: Vec::new(),
-            req_scratch: vec![false; n],
-            lane_scratch: vec![false; n],
+            lane_reqs: vec![0; p],
             fault: None,
         }
     }
@@ -208,38 +223,35 @@ impl Component for Crossbar {
                 }
             }
             Wake::Signal(_) if ctx.is_signal(self.clk) => {
-                let n = self.masters.len();
-                // Refresh request view and cooldowns (reusing the scratch
-                // buffer: no allocation on the per-cycle path).
-                let mut reqs = std::mem::take(&mut self.req_scratch);
-                for (i, rq) in reqs.iter_mut().enumerate() {
-                    let r = ctx.read_bit(self.masters[i].req);
-                    if !r {
-                        self.cooldown[i] = false;
-                    }
-                    *rq = r && !self.cooldown[i] && !self.in_service[i];
-                }
+                // One read per request line; the cooldown and in-service
+                // filters are mask operations.
+                let lines = request_lines(ctx, &self.masters);
+                self.cooldown &= lines;
+                let mut reqs = lines & !self.cooldown & !self.in_service;
 
                 // Finish error completions from last cycle.
                 for master in std::mem::take(&mut self.error_complete) {
                     ctx.write_bit(self.masters[master].ack, false);
-                    self.cooldown[master] = true;
-                    self.in_service[master] = false;
+                    self.cooldown |= bit(master);
+                    self.in_service &= !bit(master);
                     self.transactions += 1;
                 }
 
-                // Route decode errors (not tied to any lane).
-                #[allow(clippy::needless_range_loop)] // reqs[i] is also written
-                for i in 0..n {
-                    if reqs[i] {
-                        let addr = ctx.read(self.masters[i].addr) as u32;
-                        if self.map.decode(addr).is_none() {
+                // Decode each eligible request once. Unmapped addresses
+                // take the error path in master order (not tied to any
+                // lane); the rest join their lane's request mask.
+                self.lane_reqs.fill(0);
+                for i in bits(reqs) {
+                    let addr = ctx.read(self.masters[i].addr) as u32;
+                    match self.map.decode(addr) {
+                        Some(lane) => self.lane_reqs[lane] |= bit(i),
+                        None => {
                             self.decode_errors += 1;
                             ctx.write_bit(self.masters[i].ack, true);
                             ctx.write(self.masters[i].rdata, DECODE_ERROR_DATA as u64);
-                            self.in_service[i] = true;
+                            self.in_service |= bit(i);
                             self.error_complete.push(i);
-                            reqs[i] = false;
+                            reqs &= !bit(i);
                         }
                     }
                 }
@@ -248,20 +260,10 @@ impl Component for Crossbar {
                 for lane in 0..self.lanes.len() {
                     match self.lanes[lane] {
                         LaneState::Idle => {
-                            // Requests targeting this lane's slave.
-                            let mut lane_reqs = std::mem::take(&mut self.lane_scratch);
-                            for (i, lr) in lane_reqs.iter_mut().enumerate() {
-                                *lr = reqs[i] && {
-                                    let addr = ctx.read(self.masters[i].addr) as u32;
-                                    self.map.decode(addr) == Some(lane)
-                                };
-                            }
-                            let pick = self.arbiters[lane].pick(&lane_reqs);
-                            self.lane_scratch = lane_reqs;
-                            if let Some(winner) = pick {
+                            if let Some(winner) = self.arbiters[lane].pick(self.lane_reqs[lane]) {
                                 any_busy = true;
-                                reqs[winner] = false;
-                                self.in_service[winner] = true;
+                                reqs &= !bit(winner);
+                                self.in_service |= bit(winner);
                                 let f = match &self.fault {
                                     Some(hook) => hook.borrow_mut().bus_access(winner),
                                     None => BusFault::default(),
@@ -331,8 +333,8 @@ impl Component for Crossbar {
                         LaneState::Complete { master } => {
                             any_busy = true;
                             ctx.write_bit(self.masters[master].ack, false);
-                            self.cooldown[master] = true;
-                            self.in_service[master] = false;
+                            self.cooldown |= bit(master);
+                            self.in_service &= !bit(master);
                             self.transactions += 1;
                             self.lane_last[lane] = Some(master);
                             self.lanes[lane] = LaneState::Idle;
@@ -341,17 +343,14 @@ impl Component for Crossbar {
                 }
 
                 // Wait accounting: requesting but not in service.
-                for (i, &rq) in reqs.iter().enumerate() {
-                    if rq && !self.in_service[i] {
-                        self.wait_cycles[i] += 1;
-                    }
+                for i in bits(reqs & !self.in_service) {
+                    self.wait_cycles[i] += 1;
                 }
                 if any_busy {
                     self.busy_cycles += 1;
                 } else {
                     self.idle_cycles += 1;
                 }
-                self.req_scratch = reqs;
             }
             _ => {}
         }
@@ -398,13 +397,10 @@ impl Component for Crossbar {
             }
         }
         w.put_u64(self.retained_grants);
-        w.put_u32(self.cooldown.len() as u32);
-        for c in &self.cooldown {
-            w.put_bool(*c);
-        }
-        for s in &self.in_service {
-            w.put_bool(*s);
-        }
+        let n = self.masters.len();
+        w.put_u32(n as u32);
+        save_mask(w, self.cooldown, n);
+        save_mask(w, self.in_service, n);
         for wc in &self.wait_cycles {
             w.put_u64(*wc);
         }
@@ -482,12 +478,8 @@ impl Component for Crossbar {
                 context: format!("snapshot crossbar has {cd} masters, target has {n}"),
             });
         }
-        for c in &mut self.cooldown {
-            *c = r.get_bool("crossbar cooldown flag")?;
-        }
-        for s in &mut self.in_service {
-            *s = r.get_bool("crossbar in_service flag")?;
-        }
+        self.cooldown = load_mask(r, n, "crossbar cooldown flag")?;
+        self.in_service = load_mask(r, n, "crossbar in_service flag")?;
         for wc in &mut self.wait_cycles {
             *wc = r.get_u64("crossbar wait_cycles")?;
         }

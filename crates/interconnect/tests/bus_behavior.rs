@@ -5,7 +5,7 @@ use std::any::Any;
 
 use dmi_interconnect::{
     AddressMap, ArbiterKind, BusConfig, Crossbar, CrossbarConfig, MasterIf, SharedBus, SlaveIf,
-    DECODE_ERROR_DATA,
+    DECODE_ERROR_DATA, MAX_MASTERS,
 };
 use dmi_kernel::{Component, Ctx, Edge, Simulator, Wake, Wire};
 
@@ -690,6 +690,20 @@ fn crossbar_burst_grant_retains_per_lane() {
         stats.retained_grants, 18,
         "each lane retains all but its first grant"
     );
+}
+
+#[test]
+#[should_panic(expected = "at most 16 bus masters (master id is 4 bits), got 17")]
+fn crossbar_rejects_more_masters_than_the_master_id_holds() {
+    let mut sim = Simulator::new();
+    let clk = sim.add_clock("clk", 2);
+    let masters = (0..=MAX_MASTERS)
+        .map(|i| MasterIf::declare(&mut sim, &format!("m{i}")))
+        .collect();
+    let slaves = vec![SlaveIf::declare(&mut sim, "s0")];
+    let mut map = AddressMap::new();
+    map.try_add(MEM0, 0x1000, 0).unwrap();
+    Crossbar::new("xbar", clk, masters, slaves, map, ArbiterKind::RoundRobin);
 }
 
 #[test]

@@ -33,7 +33,7 @@ use dmi_core::{
 };
 use dmi_interconnect::{
     AddressMap, BusMaster, Crossbar, MapError, MasterIf, MasterProbe, MasterWiring, Region,
-    SharedBus, SlaveIf,
+    SharedBus, SlaveIf, MAX_MASTERS,
 };
 use dmi_isa::Program;
 use dmi_iss::{BusMasterPorts, CpuComponent, CpuCore, HaltMonitor, LocalMemory};
@@ -211,7 +211,8 @@ pub enum BuildError {
     EmptySystem,
     /// No shared memories.
     NoMemories,
-    /// More masters than the interconnect's 4-bit master-id field.
+    /// More masters than [`MAX_MASTERS`], the limit of the
+    /// interconnect's 4-bit master-id field.
     TooManyMasters {
         /// Requested master count (CPUs + custom masters).
         count: usize,
@@ -264,7 +265,10 @@ impl std::fmt::Display for BuildError {
             BuildError::EmptySystem => write!(f, "at least one bus master required"),
             BuildError::NoMemories => write!(f, "at least one memory required"),
             BuildError::TooManyMasters { count } => {
-                write!(f, "at most 16 bus masters (master id is 4 bits), got {count}")
+                write!(
+                    f,
+                    "at most {MAX_MASTERS} bus masters (master id is 4 bits), got {count}"
+                )
             }
             BuildError::BadClockPeriod { period } => {
                 write!(f, "clock period must be even and >= 2, got {period}")
@@ -465,7 +469,7 @@ impl SystemBuilder {
         if self.mems.is_empty() {
             return Err(BuildError::NoMemories);
         }
-        if self.masters.len() > 16 {
+        if self.masters.len() > MAX_MASTERS {
             return Err(BuildError::TooManyMasters {
                 count: self.masters.len(),
             });
