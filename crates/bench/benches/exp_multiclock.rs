@@ -1,10 +1,12 @@
 //! Heterogeneous multi-clock scenarios: 2–8 clock domains at co-prime
 //! half-periods, each driving a CPU + burst-DMA + wrapper-memory
-//! subsystem on its own bus. This is where the clock calendar's win over
-//! queued toggles is largest: with co-prime periods the per-clock toggle
-//! streams never merge, so the queued implementation pays one heap
-//! push + pop per clock per half-period, forever — while the calendar
-//! serves every toggle from a slot min-scan.
+//! subsystem on its own bus (the topology of
+//! [`multiclock_sim`](dmi_bench::scenarios::multiclock_sim)). This is
+//! where the clock calendar's win over queued toggles is largest: with
+//! co-prime periods the per-clock toggle streams never merge, so the
+//! queued implementation pays one heap push + pop per clock per
+//! half-period, forever — while the calendar serves every toggle from a
+//! slot min-scan.
 //!
 //! Each configuration is measured twice: `calendar` (the default) and
 //! `queue` (`set_clock_calendar(false)`, the reference path), on the
@@ -12,104 +14,14 @@
 //! simulation-bit-identical (`KernelStats`) before measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmi_core::{MemoryModule, SlavePorts, WrapperBackend, WrapperConfig};
-use dmi_interconnect::{
-    AddressMap, BusConfig, BusMaster, MasterIf, MasterWiring, SharedBus, SlaveIf,
-};
-use dmi_isa::Program;
-use dmi_iss::{BusMasterPorts, CpuComponent, CpuCore, LocalMemory};
-use dmi_kernel::{Edge, KernelStats, Simulator};
-use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind};
-use dmi_sw::{workloads, WorkloadCfg};
+use dmi_bench::scenarios::multiclock_sim;
+use dmi_kernel::KernelStats;
 
-/// Full clock periods whose half-periods (3, 5, 7, 11, …) are pairwise
-/// co-prime: the domains' edges never fall into a common cadence.
-const PERIODS: [u64; 8] = [6, 10, 14, 22, 26, 34, 38, 46];
-
-const MEM_BASE: u32 = 0x8000_0000;
-
-/// One clock domain: CPU + burst DMA + wrapper memory on a private bus,
-/// clocked at `period`. Domains in one simulator share nothing but the
-/// kernel — the multi-clock stress is purely on the event loop.
-fn add_domain(sim: &mut Simulator, domain: usize, period: u64, program: &Program) {
-    let clk = sim.add_clock(format!("clk{domain}"), period);
-
-    let cports = BusMasterPorts::declare(sim, &format!("d{domain}.cpu.bus"));
-    let halted = sim.wire(format!("d{domain}.cpu.halted"), 1);
-    let mut core = CpuCore::new(0, LocalMemory::new(0, 0x40000));
-    core.load_program(program);
-    let cpu = CpuComponent::new(format!("d{domain}.cpu"), core, clk, cports, halted);
-    let cpu_id = sim.add_component(Box::new(cpu));
-    sim.subscribe(cpu_id, clk, Edge::Rising);
-
-    let dports = MasterIf::declare(sim, &format!("d{domain}.dma.bus"));
-    let done = sim.wire(format!("d{domain}.dma.done"), 1);
-    let spec: Box<dyn BusMaster> = Box::new(DmaEngine::new(DmaConfig {
-        kind: DmaKind::Fill {
-            seed: 0x1000 * domain as u32,
-        },
-        dst: MEM_BASE,
-        words: 64,
-        passes: u32::MAX / 128, // effectively endless: sustained traffic
-        burst: Some(BurstSpec {
-            beats: 16,
-            verify: false,
-            at: None,
-        }),
-        ..DmaConfig::default()
-    }));
-    let dma = spec.into_component(format!("d{domain}.dma"), MasterWiring {
-        clk,
-        ports: dports,
-        done,
-    });
-    let dma_id = sim.add_component(dma);
-    sim.subscribe(dma_id, clk, Edge::Rising);
-
-    let sports = SlavePorts::declare(sim, &format!("d{domain}.mem.s"));
-    let mem_id = sim.add_component(Box::new(MemoryModule::new(
-        format!("d{domain}.mem"),
-        clk,
-        sports,
-        MEM_BASE,
-        Box::new(WrapperBackend::new(WrapperConfig::default())),
-    )));
-    sim.subscribe(mem_id, clk, Edge::Rising);
-
-    let mut map = AddressMap::new();
-    map.try_add(MEM_BASE, 0x1_0000, 0).expect("valid bench map");
-    let bus = SharedBus::new(
-        format!("d{domain}.bus"),
-        clk,
-        vec![MasterIf::from(cports), dports],
-        vec![SlaveIf {
-            req: sports.req,
-            we: sports.we,
-            size: sports.size,
-            addr: sports.addr,
-            wdata: sports.wdata,
-            master: sports.master,
-            ack: sports.ack,
-            rdata: sports.rdata,
-        }],
-        map,
-        BusConfig::default(),
-    );
-    let bus_id = sim.add_component(Box::new(bus));
-    sim.subscribe(bus_id, clk, Edge::Rising);
-}
-
-fn build(n_domains: usize, programs: &[Program], calendar: bool) -> Simulator {
-    let mut sim = Simulator::new();
+fn run(n_domains: usize, calendar: bool, ticks: u64) -> KernelStats {
+    let mut sim = multiclock_sim(n_domains);
+    // Moves the toggles armed at build time to the chosen path, with
+    // their original keys.
     sim.set_clock_calendar(calendar);
-    for d in 0..n_domains {
-        add_domain(&mut sim, d, PERIODS[d], &programs[d]);
-    }
-    sim
-}
-
-fn run(n_domains: usize, programs: &[Program], calendar: bool, ticks: u64) -> KernelStats {
-    let mut sim = build(n_domains, programs, calendar);
     sim.run_for(ticks);
     if calendar {
         let fast = sim.fast_path_stats();
@@ -120,38 +32,20 @@ fn run(n_domains: usize, programs: &[Program], calendar: bool, ticks: u64) -> Ke
 
 fn multiclock(c: &mut Criterion) {
     const TICKS: u64 = 30_000;
-    let programs: Vec<Program> = (0..PERIODS.len())
-        .map(|d| {
-            // Per-domain buffer-size variation keeps programs distinct
-            // without changing the traffic shape; iteration counts
-            // outlive the tick budget so traffic never drains.
-            workloads::scalar_rw(&WorkloadCfg {
-                mem_base: MEM_BASE,
-                iterations: u32::MAX / 64,
-                buf_words: 16 + 8 * (d as u32 % 3),
-                ..WorkloadCfg::default()
-            })
-        })
-        .collect();
-
     let mut g = c.benchmark_group("exp_multiclock");
     g.sample_size(10);
     for n in [2usize, 4, 8] {
         // Bit-identity guard: calendar on vs off must execute the same
         // simulation before we compare their wall clocks.
         assert_eq!(
-            run(n, &programs, true, TICKS),
-            run(n, &programs, false, TICKS),
+            run(n, true, TICKS),
+            run(n, false, TICKS),
             "calendar A/B diverged at {n} clocks"
         );
         for (label, calendar) in [("calendar", true), ("queue", false)] {
-            g.bench_with_input(
-                BenchmarkId::new(label, format!("{n}clk")),
-                &n,
-                |b, &n| {
-                    b.iter(|| run(n, &programs, calendar, TICKS).events);
-                },
-            );
+            g.bench_with_input(BenchmarkId::new(label, format!("{n}clk")), &n, |b, &n| {
+                b.iter(|| run(n, calendar, TICKS).events);
+            });
         }
     }
     g.finish();

@@ -86,38 +86,6 @@ fn kernel(c: &mut Criterion) {
             });
         });
     }
-
-    // Raw event-queue churn: a standing population of `n` pending timers,
-    // each pop rescheduling a few ticks ahead — the classic discrete-event
-    // "hold" pattern the time wheel exists for. Benchmarked on both queue
-    // implementations to document the crossover.
-    use dmi_kernel::{EventKind, EventQueue, Queue, SimTime, WheelQueue};
-    fn hold_bench<Q: Queue>(b: &mut criterion::Bencher, q: &mut Q, n: usize) {
-        let mut now = 0u64;
-        for i in 0..n {
-            q.push(
-                SimTime::from_ticks(1 + (i as u64 * 7) % 97),
-                0,
-                EventKind::ClockToggle(i),
-            );
-        }
-        let mut salt = 0u64;
-        b.iter(|| {
-            let ev = q.pop().expect("standing population");
-            now = ev.time.ticks();
-            salt = salt.wrapping_mul(6364136223846793005).wrapping_add(13);
-            q.push(SimTime::from_ticks(now + 1 + salt % 97), 0, ev.kind);
-            now
-        });
-    }
-    for n in [64usize, 1024, 8192] {
-        c.bench_function(&format!("event_queue_hold_{n}_pending/heap"), |b| {
-            hold_bench(b, &mut EventQueue::new(), n);
-        });
-        c.bench_function(&format!("event_queue_hold_{n}_pending/wheel"), |b| {
-            hold_bench(b, &mut WheelQueue::new(), n);
-        });
-    }
 }
 
 criterion_group!(benches, kernel);

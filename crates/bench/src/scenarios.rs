@@ -1,8 +1,8 @@
-//! Shared scenario constructors for the `analyze` CLI and the
-//! analyzer's scenario tests: the builder-level systems the experiment
-//! suite runs, plus the hand-wired multi-clock topology of the
-//! `exp_multiclock` bench (which `SystemBuilder` cannot express yet —
-//! it shares one `clk` across every component).
+//! Shared scenario constructors for the `analyze` CLI, the analyzer's
+//! scenario tests, the farm and the benches: the builder-level systems
+//! the experiment suite runs, plus the hand-wired multi-clock topology
+//! of the `exp_multiclock` bench (which `SystemBuilder` cannot express
+//! yet — it shares one `clk` across every component).
 
 use dmi_core::{MemoryModule, SlavePorts, WrapperBackend, WrapperConfig};
 use dmi_gsm::pipeline::{self, PipelineCfg};

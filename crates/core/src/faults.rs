@@ -8,9 +8,9 @@
 //! configuration, so injection is **replay-exact**: triggers count
 //! protocol accesses and draw from a seeded [splitmix64] stream — never
 //! wall-clock, never host state. The same plan + seed produces the same
-//! faults on the heap and wheel queues, with the clock calendar on or
-//! off, because the access order those hooks observe is itself
-//! bit-identical across queue kinds.
+//! faults with the clock calendar on or off, because the access order
+//! those hooks observe is itself bit-identical across calendar
+//! placements.
 //!
 //! An **empty plan is inert by construction**: every hook returns the
 //! "no fault" action without touching a trigger counter, so a system

@@ -1,7 +1,7 @@
 //! The context handed to a component on wake.
 
 use crate::component::{ComponentId, Wake};
-use crate::event::{EventKind, Queue};
+use crate::event::{EventKind, EventQueue};
 use crate::signal::{SignalBoard, Wire};
 use crate::time::SimTime;
 
@@ -35,7 +35,7 @@ impl StopReason {
 /// they become visible to readers only after the current delta commits.
 pub struct Ctx<'a> {
     pub(crate) signals: &'a mut SignalBoard,
-    pub(crate) queue: &'a mut dyn Queue,
+    pub(crate) queue: &'a mut EventQueue,
     pub(crate) time: SimTime,
     pub(crate) delta: u32,
     pub(crate) cause: Wake,

@@ -1,4 +1,4 @@
-//! Event queues.
+//! The event queue.
 //!
 //! The kernel is driven by a priority queue of events keyed by
 //! `(time, delta, seq)`:
@@ -11,61 +11,18 @@
 //!
 //! The stable ordering is what makes whole simulations bit-reproducible.
 //!
-//! ## Two implementations, one ordering
-//!
-//! Two queue types implement the same [`Queue`] interface; the
-//! simulator's run loop is monomorphized once per implementation and the
-//! live one is **auto-selected from a system-size hint** when the first
-//! run starts (see `QueueKind` in `sim.rs`; the `wheel-queue` cargo
-//! feature survives as a forced override pinning the wheel):
-//!
-//! * [`EventQueue`] — a plain binary heap. With the handful of pending
-//!   events a small clocked co-simulation keeps (periodic clock toggles
-//!   live in the simulator's *clock calendar*, not here, so the queue
-//!   holds only component timers and the current delta cascade), the
-//!   heap occupies a couple of cache lines and is unbeatable. It is
-//!   also deliberately *simple*: the
-//!   run-loop inlines these few instructions, and measurements showed
-//!   that even one extra never-taken branch with a function call in its
-//!   arm costs several percent of total simulation wall clock — which is
-//!   why the choice between implementations is made **once per run
-//!   call**, outside the per-event path, instead of adaptively inside
-//!   it;
-//! * [`WheelQueue`] — a hierarchical time wheel for big systems (many
-//!   components, standing event populations in the hundreds or more):
-//!   [`WHEEL_SLOTS`] single-tick buckets cover the ticks
-//!   `[cursor, cursor + WHEEL_SLOTS)`; pushes append to their tick's
-//!   bucket (kept `(delta, seq)`-sorted — appends are in-order under the
-//!   kernel's monotone delta/seq discipline, so the sort is almost
-//!   always a no-op), pops bump the bucket's head index, and an
-//!   occupancy bitmap finds the earliest non-empty bucket in a few word
-//!   scans. Events beyond the horizon (or, defensively, behind the
-//!   cursor) live in an overflow heap. At thousands of pending events
-//!   this turns the heap's `O(log n)` sift traffic into `O(1)` appends —
-//!   3-4× faster on the queue-churn microbenches.
-//!
-//! **Determinism invariant:** both implementations order by the exact
-//! same `(time, delta, seq)` key, and in the wheel every pop compares
-//! the bucket candidate against the overflow top by that full key. The
-//! pop sequence is therefore *identical* whichever implementation serves
-//! it, and migrating pending events between them (preserving their
-//! original sequence numbers) cannot change a simulation. The kernel's
-//! determinism tests (`tests/determinism.rs`) and the randomized
-//! cross-check below pin this down.
+//! [`EventQueue`] is a plain binary heap, the kernel's only queue. It
+//! holds few events: periodic clock toggles live in the simulator's
+//! *clock calendar* and subscriber wakes are carried between deltas, so
+//! the queue sees only component timers, `Start` events and the current
+//! delta cascade. The kernel's determinism tests (`tests/determinism.rs`)
+//! and the unit tests below pin the ordering.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::component::ComponentId;
 use crate::time::SimTime;
-
-/// Number of single-tick buckets in the wheel (a power of two, at least
-/// 64 so the occupancy bitmap has whole words).
-///
-/// Clock periods in this framework are a handful of ticks, so virtually
-/// all scheduling lands within the horizon; far timers go to the overflow
-/// heap and cost what they always did.
-pub const WHEEL_SLOTS: usize = 256;
 
 /// What an event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,73 +73,12 @@ impl PartialOrd for Event {
     }
 }
 
-/// The queue interface the simulator runs against. Implemented by
-/// [`EventQueue`] (binary heap) and [`WheelQueue`] (time wheel); both
-/// order by the exact `(time, delta, seq)` key.
-pub trait Queue {
-    /// Schedules an event, assigning it the next sequence number.
-    fn push(&mut self, time: SimTime, delta: u32, kind: EventKind);
-    /// Consumes the next sequence number *without* inserting an event.
-    ///
-    /// This is how the simulator's clock calendar stays order-compatible
-    /// with the queue: a calendar toggle claims its sequence number at
-    /// exactly the point the queued implementation would have pushed a
-    /// `ClockToggle`, so merging the calendar head against the queue
-    /// head by the full `(time, delta, seq)` key reproduces the queued
-    /// dispatch order bit for bit (and [`scheduled_total`]
-    /// (Self::scheduled_total) counts both kinds of scheduling).
-    fn alloc_seq(&mut self) -> u64;
-    /// The key of the earliest pending event, if any.
-    fn peek_key(&self) -> Option<(SimTime, u32)>;
-    /// The full `(time, delta, seq)` key of the earliest pending event
-    /// (what the run loop compares the clock calendar's head against).
-    fn peek_full_key(&self) -> Option<(SimTime, u32, u64)>;
-    /// Pops the earliest event.
-    fn pop(&mut self) -> Option<Event>;
-    /// Pops the earliest event only if it fires exactly at `(time, delta)`.
-    ///
-    /// Not on the run loop's hot path anymore (it merges the calendar
-    /// against [`peek_full_key`](Self::peek_full_key) and then calls
-    /// [`pop`](Self::pop)); kept as the safe conditional-pop for tests
-    /// and external drivers. Must keep matching the run loop's
-    /// only-the-global-minimum semantics (see the wheel's cursor note).
-    fn pop_at(&mut self, time: SimTime, delta: u32) -> Option<Event>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Largest number of simultaneously pending events seen so far.
-    fn peak_len(&self) -> usize;
-    /// Total number of events ever scheduled.
-    fn scheduled_total(&self) -> u64;
-    /// Re-inserts an event that already carries its sequence number
-    /// (queue-to-queue migration; never changes the pop order).
-    fn push_event(&mut self, ev: Event);
-    /// Hands the internal sequence counter to a successor queue.
-    fn set_next_seq(&mut self, next_seq: u64);
-    /// Moves every pending event out, earliest first (queue-to-queue
-    /// migration; re-insert with [`push_event`](Self::push_event),
-    /// then hand over the counter with
-    /// [`set_next_seq`](Self::set_next_seq)).
-    fn drain_ordered(&mut self) -> Vec<Event> {
-        let mut events = Vec::with_capacity(self.len());
-        while let Some(ev) = self.pop() {
-            events.push(ev);
-        }
-        events
-    }
-}
-
 /// Min-queue of events ordered by `(time, delta, seq)`, as a plain
-/// binary heap — the right structure for small event populations (see
-/// the module docs).
+/// binary heap (see the module docs).
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
     next_seq: u64,
-    peak_len: usize,
 }
 
 impl EventQueue {
@@ -190,337 +86,81 @@ impl EventQueue {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Queue for EventQueue {
+    /// Schedules an event, assigning it the next sequence number.
     #[inline]
-    fn push(&mut self, time: SimTime, delta: u32, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    pub fn push(&mut self, time: SimTime, delta: u32, kind: EventKind) {
+        let seq = self.alloc_seq();
         self.heap.push(Event {
             time,
             delta,
             seq,
             kind,
         });
-        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
+    /// Re-inserts an event that already carries its sequence number (an
+    /// event put back after a budget stop, a parked clock toggle, a
+    /// restored snapshot); never changes the pop order.
+    pub fn push_event(&mut self, ev: Event) {
+        self.heap.push(ev);
+    }
+
+    /// Consumes the next sequence number *without* inserting an event.
+    ///
+    /// This is how the simulator's clock calendar stays order-compatible
+    /// with the queue: a calendar toggle claims its sequence number at
+    /// exactly the point the queued path would have pushed a
+    /// `ClockToggle`, so merging the calendar head against the queue
+    /// head by the full `(time, delta, seq)` key reproduces the queued
+    /// dispatch order bit for bit (and
+    /// [`scheduled_total`](Self::scheduled_total) counts both kinds of
+    /// scheduling).
     #[inline]
-    fn alloc_seq(&mut self) -> u64 {
+    pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
     }
 
+    /// The `(time, delta)` of the earliest pending event, if any.
     #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u32)> {
+    pub fn peek_key(&self) -> Option<(SimTime, u32)> {
         self.heap.peek().map(|e| (e.time, e.delta))
     }
 
+    /// The full `(time, delta, seq)` key of the earliest pending event
+    /// (what the run loop compares the clock calendar's head against).
     #[inline]
-    fn peek_full_key(&self) -> Option<(SimTime, u32, u64)> {
+    pub fn peek_full_key(&self) -> Option<(SimTime, u32, u64)> {
         self.heap.peek().map(|e| e.key())
     }
 
+    /// Pops the earliest event.
     #[inline]
-    fn pop(&mut self) -> Option<Event> {
+    pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
 
-    #[inline]
-    fn pop_at(&mut self, time: SimTime, delta: u32) -> Option<Event> {
-        match self.heap.peek() {
-            Some(e) if e.time == time && e.delta == delta => self.heap.pop(),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    fn scheduled_total(&self) -> u64 {
+    /// Total number of sequence numbers ever claimed (pushed events and
+    /// calendar toggles): the counter a snapshot saves.
+    pub fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
 
-    fn push_event(&mut self, ev: Event) {
-        self.heap.push(ev);
-        self.peak_len = self.peak_len.max(self.heap.len());
-    }
-
-    fn set_next_seq(&mut self, next_seq: u64) {
+    /// Restores the sequence counter (snapshot restore).
+    pub fn set_next_seq(&mut self, next_seq: u64) {
         self.next_seq = next_seq;
     }
-}
 
-/// One tick's bucket: events sorted by `(delta, seq)`, consumed from
-/// `head`. The `Vec` keeps its capacity across reuses of the slot.
-#[derive(Debug, Default)]
-struct Slot {
-    events: Vec<Event>,
-    head: usize,
-}
-
-impl Slot {
-    #[inline]
-    fn is_drained(&self) -> bool {
-        self.head >= self.events.len()
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<&Event> {
-        self.events.get(self.head)
-    }
-
-    fn insert(&mut self, ev: Event) {
-        // The kernel schedules with monotone (delta, seq) within a tick,
-        // so the append path is the overwhelmingly common case.
-        match self.events.last() {
-            Some(last) if last.key() > ev.key() => {
-                // Out-of-order push: place it by key among the *pending*
-                // events (the consumed prefix before `head` is dead and
-                // not necessarily key-partitioned against new arrivals).
-                let pos = self.head
-                    + self.events[self.head..].partition_point(|e| e.key() <= ev.key());
-                self.events.insert(pos, ev);
-            }
-            _ => self.events.push(ev),
+    /// Moves every pending event out, earliest first, with its original
+    /// key; put them back with [`push_event`](Self::push_event).
+    pub fn drain_ordered(&mut self) -> Vec<Event> {
+        let mut events = Vec::with_capacity(self.heap.len());
+        while let Some(ev) = self.heap.pop() {
+            events.push(ev);
         }
-    }
-
-    fn pop(&mut self) -> Event {
-        let ev = self.events[self.head];
-        self.head += 1;
-        if self.is_drained() {
-            self.events.clear();
-            self.head = 0;
-        }
-        ev
-    }
-}
-
-/// Min-queue of events ordered by `(time, delta, seq)`, as a hierarchical
-/// time wheel with an overflow heap — the right structure for large event
-/// populations (see the module docs).
-#[derive(Debug)]
-pub struct WheelQueue {
-    slots: Vec<Slot>,
-    /// One bit per slot: set while the slot holds pending events.
-    occupied: Vec<u64>,
-    /// Start of the wheel horizon, in ticks. Only ever advances (to the
-    /// tick of the last popped event).
-    cursor: u64,
-    /// Events outside `[cursor, cursor + WHEEL_SLOTS)`.
-    overflow: BinaryHeap<Event>,
-    len: usize,
-    next_seq: u64,
-    peak_len: usize,
-}
-
-impl Default for WheelQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WheelQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        const { assert!(WHEEL_SLOTS.is_power_of_two() && WHEEL_SLOTS >= 64) };
-        WheelQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| Slot::default()).collect(),
-            occupied: vec![0; WHEEL_SLOTS / 64],
-            cursor: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-            next_seq: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// Anchors the horizon (used when migrating from a heap queue: the
-    /// earliest pending tick becomes the wheel's start of time).
-    pub fn set_cursor(&mut self, tick: u64) {
-        debug_assert!(self.len == 0, "anchor before inserting events");
-        self.cursor = tick;
-    }
-
-    #[inline]
-    fn slot_index(tick: u64) -> usize {
-        (tick as usize) & (WHEEL_SLOTS - 1)
-    }
-
-    #[inline]
-    fn mark_occupied(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline]
-    fn mark_drained(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-    }
-
-    #[inline]
-    fn in_horizon(&self, tick: u64) -> bool {
-        tick >= self.cursor && tick < self.cursor + WHEEL_SLOTS as u64
-    }
-
-    /// Earliest pending bucket event and the slot holding it.
-    ///
-    /// Fast path: the cursor's own slot — every bucket event is at tick
-    /// `>= cursor`, and a non-drained cursor slot holds exactly tick
-    /// `cursor`, so it is the earliest by construction. During delta
-    /// processing (the overwhelmingly common peek) this is two loads.
-    /// Otherwise the occupancy bitmap is scanned word by word.
-    fn earliest(&self) -> Option<(&Event, usize)> {
-        let start = Self::slot_index(self.cursor);
-        if let Some(e) = self.slots[start].peek() {
-            return Some((e, start));
-        }
-        let words = self.occupied.len(); // power of two
-        let (sw, sb) = (start / 64, (start % 64) as u32);
-        // Bits strictly above `start` in its word (`start` itself was just
-        // checked); the double shift avoids overflow when sb == 63.
-        let first = (self.occupied[sw] >> sb) >> 1;
-        if first != 0 {
-            let slot = (start + 1 + first.trailing_zeros() as usize) & (WHEEL_SLOTS - 1);
-            return self.slots[slot].peek().map(|e| (e, slot));
-        }
-        for k in 1..=words {
-            let wi = (sw + k) & (words - 1);
-            let w = self.occupied[wi];
-            if w != 0 {
-                let slot = wi * 64 + w.trailing_zeros() as usize;
-                return self.slots[slot].peek().map(|e| (e, slot));
-            }
-        }
-        None
-    }
-
-    /// Key and location of the globally earliest pending event:
-    /// `Some(slot)` for a bucket event, `None` for the overflow top.
-    /// Returns owned data so callers can mutate immediately after.
-    fn earliest_loc(&self) -> Option<((SimTime, u32, u64), Option<usize>)> {
-        let bucket = self.earliest().map(|(e, slot)| (e.key(), Some(slot)));
-        let over = self.overflow.peek().map(|e| (e.key(), None));
-        match (bucket, over) {
-            (Some(b), Some(o)) => Some(if b.0 <= o.0 { b } else { o }),
-            (b, o) => b.or(o),
-        }
-    }
-
-    fn pop_slot(&mut self, slot: usize) -> Event {
-        self.len -= 1;
-        let ev = self.slots[slot].pop();
-        if self.slots[slot].is_drained() {
-            self.mark_drained(slot);
-        }
-        self.cursor = self.cursor.max(ev.time.ticks());
-        ev
-    }
-
-    fn pop_overflow(&mut self) -> Event {
-        self.len -= 1;
-        let ev = self.overflow.pop().expect("peeked");
-        self.cursor = self.cursor.max(ev.time.ticks());
-        ev
-    }
-}
-
-impl Queue for WheelQueue {
-    #[inline]
-    fn push(&mut self, time: SimTime, delta: u32, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_event(Event {
-            time,
-            delta,
-            seq,
-            kind,
-        });
-    }
-
-    fn push_event(&mut self, ev: Event) {
-        let tick = ev.time.ticks();
-        if self.in_horizon(tick) {
-            let slot = Self::slot_index(tick);
-            debug_assert!(
-                self.slots[slot].peek().is_none_or(|e| e.time == ev.time),
-                "wheel slot holds a single tick"
-            );
-            self.slots[slot].insert(ev);
-            self.mark_occupied(slot);
-        } else {
-            // Beyond the horizon (or defensively behind the cursor).
-            self.overflow.push(ev);
-        }
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
-    }
-
-    #[inline]
-    fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    #[inline]
-    fn peek_key(&self) -> Option<(SimTime, u32)> {
-        self.earliest_loc().map(|(key, _)| (key.0, key.1))
-    }
-
-    #[inline]
-    fn peek_full_key(&self) -> Option<(SimTime, u32, u64)> {
-        self.earliest_loc().map(|(key, _)| key)
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        let (_, loc) = self.earliest_loc()?;
-        Some(match loc {
-            Some(slot) => self.pop_slot(slot),
-            None => self.pop_overflow(),
-        })
-    }
-
-    #[inline]
-    fn pop_at(&mut self, time: SimTime, delta: u32) -> Option<Event> {
-        // Pop only the *globally earliest* event, and only if it matches —
-        // the same contract as the heap implementation. Popping a matching
-        // but non-minimal event would also advance the cursor past pending
-        // earlier ticks and corrupt the horizon.
-        let (key, loc) = self.earliest_loc()?;
-        if key.0 != time || key.1 != delta {
-            return None;
-        }
-        Some(match loc {
-            Some(slot) => self.pop_slot(slot),
-            None => self.pop_overflow(),
-        })
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    fn set_next_seq(&mut self, next_seq: u64) {
-        self.next_seq = next_seq;
+        events
     }
 }
 
@@ -532,87 +172,45 @@ mod tests {
         EventKind::Wake(ComponentId::from_raw(c), 0)
     }
 
-    /// Runs the same scenario against both queue implementations.
-    fn with_both(f: impl Fn(&mut dyn Queue)) {
-        f(&mut EventQueue::new());
-        f(&mut WheelQueue::new());
-    }
-
     #[test]
     fn orders_by_time_then_delta_then_seq() {
-        with_both(|q| {
-            q.push(SimTime::from_ticks(5), 0, wake(0));
-            q.push(SimTime::from_ticks(1), 2, wake(1));
-            q.push(SimTime::from_ticks(1), 0, wake(2));
-            q.push(SimTime::from_ticks(1), 0, wake(3));
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ticks(5), 0, wake(0));
+        q.push(SimTime::from_ticks(1), 2, wake(1));
+        q.push(SimTime::from_ticks(1), 0, wake(2));
+        q.push(SimTime::from_ticks(1), 0, wake(3));
 
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(order.len(), 4);
-            // t=1,d=0 events first, in scheduling order (seq 2 then 3).
-            assert_eq!(order[0].kind, wake(2));
-            assert_eq!(order[1].kind, wake(3));
-            assert_eq!(order[2].kind, wake(1)); // t=1, d=2
-            assert_eq!(order[3].kind, wake(0)); // t=5
-        });
-    }
-
-    #[test]
-    fn pop_at_only_matches_exact_key() {
-        with_both(|q| {
-            q.push(SimTime::from_ticks(3), 1, wake(7));
-            assert!(q.pop_at(SimTime::from_ticks(3), 0).is_none());
-            assert!(q.pop_at(SimTime::from_ticks(2), 1).is_none());
-            let e = q.pop_at(SimTime::from_ticks(3), 1).expect("event present");
-            assert_eq!(e.kind, wake(7));
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn pop_at_refuses_non_minimal_matches() {
-        // A matching (time, delta) that is not the globally earliest
-        // pending event must not pop — otherwise the wheel's cursor would
-        // advance past still-pending ticks.
-        with_both(|q| {
-            q.push(SimTime::from_ticks(10), 0, wake(0));
-            q.push(SimTime::from_ticks(20), 0, wake(1));
-            q.push(SimTime::from_ticks(25), 0, wake(2));
-            assert!(
-                q.pop_at(SimTime::from_ticks(20), 0).is_none(),
-                "tick 20 matches an event but tick 10 is earlier"
-            );
-            // Full order still intact.
-            let order: Vec<_> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.time.ticks())
-                .collect();
-            assert_eq!(order, vec![10, 20, 25]);
-        });
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order.len(), 4);
+        // t=1,d=0 events first, in scheduling order (seq 2 then 3).
+        assert_eq!(order[0].kind, wake(2));
+        assert_eq!(order[1].kind, wake(3));
+        assert_eq!(order[2].kind, wake(1)); // t=1, d=2
+        assert_eq!(order[3].kind, wake(0)); // t=5
     }
 
     #[test]
     fn counters_track_usage() {
-        with_both(|q| {
-            assert_eq!(q.len(), 0);
-            for i in 0..10 {
-                q.push(SimTime::from_ticks(i), 0, wake(i as usize));
-            }
-            assert_eq!(q.len(), 10);
-            assert_eq!(q.peak_len(), 10);
-            assert_eq!(q.scheduled_total(), 10);
-            while q.pop().is_some() {}
-            assert_eq!(q.peak_len(), 10);
-            assert!(q.is_empty());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.push(SimTime::from_ticks(i), 0, wake(i as usize));
+        }
+        assert_eq!(q.alloc_seq(), 10, "a claimed seq follows the pushes");
+        assert_eq!(q.scheduled_total(), 11);
+        while q.pop().is_some() {}
+        assert_eq!(q.scheduled_total(), 11, "pops never rewind the counter");
+        q.push(SimTime::from_ticks(20), 0, wake(0));
+        assert_eq!(q.pop().unwrap().seq, 11);
     }
 
     #[test]
     fn peek_key_reports_earliest() {
-        with_both(|q| {
-            assert_eq!(q.peek_key(), None);
-            q.push(SimTime::from_ticks(9), 3, wake(0));
-            q.push(SimTime::from_ticks(2), 1, wake(1));
-            assert_eq!(q.peek_key(), Some((SimTime::from_ticks(2), 1)));
-        });
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key(), None);
+        q.push(SimTime::from_ticks(9), 3, wake(0));
+        q.push(SimTime::from_ticks(2), 1, wake(1));
+        assert_eq!(q.peek_key(), Some((SimTime::from_ticks(2), 1)));
+        assert_eq!(q.peek_full_key(), Some((SimTime::from_ticks(2), 1, 1)));
     }
 
     #[test]
@@ -629,12 +227,21 @@ mod tests {
         assert_eq!(drained.len(), 3);
         assert_eq!(drained[0].kind, wake(2));
         assert_eq!(drained[0].seq, 2, "original seq preserved");
+        assert!(q.pop().is_none(), "drained");
+        // Re-inserted events pop in their original order, and the
+        // counter was untouched.
+        for ev in drained.iter().rev() {
+            q.push_event(*ev);
+        }
+        assert_eq!(std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(), drained);
+        assert_eq!(q.scheduled_total(), 3);
     }
 
     #[test]
     fn migration_between_queues_preserves_order() {
-        // Fill a heap, migrate into a wheel mid-stream, keep popping: the
-        // combined pop sequence must equal the pure-heap sequence.
+        // Move a half-consumed queue into a fresh one with the restore
+        // recipe (drain, re-insert, hand over the counter) and keep
+        // popping: the combined sequence must equal the unmoved one.
         let mut reference = EventQueue::new();
         let mut source = EventQueue::new();
         for i in 0..100usize {
@@ -643,116 +250,17 @@ mod tests {
             reference.push(SimTime::from_ticks(t), d, wake(i));
             source.push(SimTime::from_ticks(t), d, wake(i));
         }
-        let mut popped = Vec::new();
-        for _ in 0..30 {
-            popped.push(source.pop().unwrap());
-        }
-        let mut wheel = WheelQueue::new();
-        // Anchor the horizon at the earliest pending tick before
-        // re-inserting (the documented migration recipe).
-        wheel.set_cursor(source.peek_key().map(|(t, _)| t.ticks()).unwrap_or(0));
+        let mut popped: Vec<_> = (0..30).map(|_| source.pop().unwrap()).collect();
+        let mut target = EventQueue::new();
         for ev in source.drain_ordered() {
-            wheel.push_event(ev);
+            target.push_event(ev);
         }
-        wheel.set_next_seq(source.scheduled_total());
-        while let Some(e) = wheel.pop() {
-            popped.push(e);
-        }
+        target.set_next_seq(source.scheduled_total());
+        popped.extend(std::iter::from_fn(|| target.pop()));
         let expect: Vec<_> = std::iter::from_fn(|| reference.pop()).collect();
-        assert_eq!(
-            popped.iter().map(|e| (e.key(), e.kind)).collect::<Vec<_>>(),
-            expect.iter().map(|e| (e.key(), e.kind)).collect::<Vec<_>>()
-        );
-        // Seq continuity after migration.
-        wheel.push(SimTime::from_ticks(1000), 0, wake(7));
-        assert_eq!(wheel.pop().unwrap().seq, 100);
-    }
-
-    #[test]
-    fn far_events_cross_the_horizon() {
-        // Events beyond the wheel horizon live in the overflow heap and
-        // still pop in exact order once the cursor approaches them.
-        let mut q = WheelQueue::new();
-        let far = WHEEL_SLOTS as u64 * 3 + 17;
-        q.push(SimTime::from_ticks(far), 0, wake(1));
-        q.push(SimTime::from_ticks(far), 0, wake(2));
-        q.push(SimTime::from_ticks(1), 0, wake(0));
-        q.push(SimTime::from_ticks(far + 1), 0, wake(3));
-        assert_eq!(q.peek_key(), Some((SimTime::from_ticks(1), 0)));
-        assert_eq!(q.pop().unwrap().kind, wake(0));
-        assert_eq!(q.pop().unwrap().kind, wake(1));
-        assert_eq!(q.pop().unwrap().kind, wake(2));
-        // After the cursor jumped to `far`, near pushes re-enter the wheel.
-        q.push(SimTime::from_ticks(far + 1), 0, wake(4));
-        assert_eq!(q.pop().unwrap().kind, wake(3), "seq order preserved");
-        assert_eq!(q.pop().unwrap().kind, wake(4));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn same_key_split_across_wheel_and_overflow_pops_in_seq_order() {
-        // An event pushed while far (overflow) and one pushed later while
-        // near (bucket) at the same (time, delta) must pop in seq order.
-        let mut q = WheelQueue::new();
-        let t = WHEEL_SLOTS as u64 + 5;
-        q.push(SimTime::from_ticks(t), 0, wake(1)); // overflow, seq 0
-        q.push(SimTime::from_ticks(t - WHEEL_SLOTS as u64), 0, wake(0));
-        assert_eq!(q.pop().unwrap().kind, wake(0)); // cursor -> t - WHEEL_SLOTS
-        // `t` is now within the horizon: this one goes to a bucket.
-        q.push(SimTime::from_ticks(t), 0, wake(2)); // seq 2
-        let a = q.pop_at(SimTime::from_ticks(t), 0).unwrap();
-        let b = q.pop_at(SimTime::from_ticks(t), 0).unwrap();
-        assert_eq!(a.kind, wake(1), "overflow event was scheduled first");
-        assert_eq!(b.kind, wake(2));
-    }
-
-    #[test]
-    fn wheel_matches_heap_on_random_workload() {
-        // Deterministic pseudo-random interleaving of pushes and pops with
-        // near, far and same-tick events: the pop sequences (full keys and
-        // kinds) must be identical.
-        let mut lcg: u64 = 0x1234_5678;
-        let mut rand = move || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            lcg >> 33
-        };
-        let mut wheel = WheelQueue::new();
-        let mut heap = EventQueue::new();
-        let mut now = 0u64;
-        for i in 0..30_000usize {
-            let r = rand();
-            if r % 3 != 0 || wheel.is_empty() {
-                let ahead = match r % 7 {
-                    0 => rand() % 4,                         // same few ticks
-                    1..=4 => rand() % 64,                    // near
-                    5 => WHEEL_SLOTS as u64 + rand() % 5000, // far
-                    _ => rand() % (2 * WHEEL_SLOTS as u64),  // straddling
-                };
-                let delta = (rand() % 3) as u32;
-                wheel.push(SimTime::from_ticks(now + ahead), delta, wake(i));
-                heap.push(SimTime::from_ticks(now + ahead), delta, wake(i));
-            } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(
-                    a.map(|e| (e.key(), e.kind)),
-                    b.map(|e| (e.key(), e.kind)),
-                    "pop {i} diverged"
-                );
-                if let Some(e) = a {
-                    now = e.time.ticks();
-                }
-            }
-        }
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a.map(|e| (e.key(), e.kind)), b.map(|e| (e.key(), e.kind)));
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(popped, expect);
+        // Seq continuity after the move.
+        target.push(SimTime::from_ticks(1000), 0, wake(7));
+        assert_eq!(target.pop().unwrap().seq, 100);
     }
 }

@@ -30,9 +30,8 @@
 //! Dispatch order is provably identical to the unspecialized reference
 //! paths, which stay available for differential testing
 //! (`DMI_KERNEL_SPECIALIZE=0`, like the ISS's `DMI_PREDECODE=0`). The
-//! event-queue implementation (binary heap vs time wheel) is
-//! auto-selected from a system-size hint at the first run — see
-//! [`QueueKind`].
+//! event queue is a binary heap (`EventQueue` in `event.rs`), the
+//! kernel's only queue.
 //!
 //! ## Quickstart
 //!
@@ -79,7 +78,6 @@ mod trace;
 
 pub use component::{Component, ComponentId, Wake};
 pub use ctx::{Ctx, StopReason};
-pub use event::{Event, EventKind, EventQueue, Queue, WheelQueue, WHEEL_SLOTS};
 pub use signal::{Change, Edge, SignalBoard, SignalId, Wire};
 pub use snapshot::{
     crc32, frame_record, next_framed_record, FrameStream, FramedRecord, Snapshot, SnapshotError,
@@ -87,7 +85,7 @@ pub use snapshot::{
 };
 pub use sim::{
     clock_calendar_default, clock_specialization_default, QueueKind, RunLimit, RunSummary,
-    Simulator, QUEUE_AUTO_WHEEL_COMPONENTS,
+    Simulator,
 };
 pub use stats::{FastPathStats, KernelStats};
 pub use time::SimTime;

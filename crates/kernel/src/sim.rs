@@ -4,9 +4,7 @@ use std::time::{Duration, Instant};
 
 use crate::component::{Component, ComponentId, Wake};
 use crate::ctx::{Ctx, StopReason};
-use crate::event::{EventKind, Queue};
-
-use crate::event::{Event, EventQueue, WheelQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::signal::{Change, Edge, SignalBoard, Wire};
 use crate::stats::{FastPathStats, KernelStats};
 use crate::time::SimTime;
@@ -118,81 +116,17 @@ type CalendarSlot = Option<(SimTime, u64)>;
 
 /// Which event-queue implementation the run loop executes against.
 ///
-/// Both implementations order by the exact `(time, delta, seq)` key, so a
-/// simulation is **bit-identical** whichever one serves it (see the
-/// `event` module docs and `tests/determinism.rs`); the choice is purely
-/// a host-performance one:
-///
-/// * [`Heap`](QueueKind::Heap) — the binary heap. With the single-digit
-///   standing event population a clocked co-simulation keeps (periodic
-///   toggles live in the clock calendar and subscriber wakes are
-///   *carried*, so the queue holds only component timers and the current
-///   delta cascade), it occupies a couple of cache lines and is
-///   unbeatable.
-/// * [`Wheel`](QueueKind::Wheel) — the hierarchical time wheel, which
-///   turns the heap's `O(log n)` sift traffic into `O(1)` bucket appends.
-///   It wins only once the *standing* population is large (measured
-///   crossover ≈ 64 pending events on the `event_queue_hold` microbench),
-///   i.e. systems with very many concurrently scheduled timers.
-///
-/// By default the simulator picks automatically when the first run
-/// starts, from the system-size hint described on
-/// [`Simulator::set_queue_kind`]. The run loop is compiled **once per
-/// implementation** (two monomorphizations of the same generic loop,
-/// selected once per `run` call, never per event), so one binary serves
-/// both without per-event dispatch overhead.
+/// The kernel has one queue, the binary heap (`EventQueue`), so
+/// [`Simulator::queue_kind`] always returns [`Heap`](QueueKind::Heap).
+/// The enum stays for readers of that accessor (the `kernel.queue_kind`
+/// metric of the `benchmark/` crate); [`Wheel`](QueueKind::Wheel) is
+/// never produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Binary-heap queue ([`EventQueue`]) — small standing populations.
+    /// The binary heap, the only queue.
     Heap,
-    /// Time-wheel queue ([`WheelQueue`]) — large standing populations.
+    /// The time-wheel queue the kernel no longer has. Never produced.
     Wheel,
-}
-
-/// Component count at or above which the automatic queue selection picks
-/// the time wheel.
-///
-/// The hint errs high on purpose: since subscriber wakes are carried
-/// between deltas instead of queued, even a 256-component clocked system
-/// keeps a single-digit standing event population, and the binary heap
-/// measures at or ahead of the wheel there
-/// (`kernel_1k_cycles_256_components`). Only systems big enough to
-/// plausibly hold tens of concurrent timers get the wheel by default;
-/// anything with a known queue-heavy schedule can pin
-/// [`QueueKind::Wheel`] explicitly.
-pub const QUEUE_AUTO_WHEEL_COMPONENTS: usize = 512;
-
-/// The queue slot: exactly one of the two implementations is live.
-#[derive(Debug)]
-enum QueueSlot {
-    Heap(EventQueue),
-    Wheel(WheelQueue),
-}
-
-impl QueueSlot {
-    fn kind(&self) -> QueueKind {
-        match self {
-            QueueSlot::Heap(_) => QueueKind::Heap,
-            QueueSlot::Wheel(_) => QueueKind::Wheel,
-        }
-    }
-
-    /// Build-phase push (cold: component registration and clock setup).
-    fn push(&mut self, time: SimTime, delta: u32, kind: EventKind) {
-        match self {
-            QueueSlot::Heap(q) => q.push(time, delta, kind),
-            QueueSlot::Wheel(q) => q.push(time, delta, kind),
-        }
-    }
-
-    /// Build-phase sequence-number claim (clock setup with the calendar
-    /// enabled: the toggle takes a number but no queue slot).
-    fn alloc_seq(&mut self) -> u64 {
-        match self {
-            QueueSlot::Heap(q) => q.alloc_seq(),
-            QueueSlot::Wheel(q) => q.alloc_seq(),
-        }
-    }
 }
 
 /// Default for the kernel's clocked-path specialization (the
@@ -270,11 +204,7 @@ pub struct Simulator {
     comps: Vec<Option<Box<dyn Component>>>,
     comp_names: Vec<String>,
     signals: SignalBoard,
-    queue: QueueSlot,
-    /// Explicit or auto-decided queue implementation; `None` until the
-    /// first run (or an explicit [`set_queue_kind`]
-    /// (Self::set_queue_kind)) pins it.
-    queue_choice: Option<QueueKind>,
+    queue: EventQueue,
     clocks: Vec<ClockDef>,
     time: SimTime,
     stop: Option<StopReason>,
@@ -338,8 +268,7 @@ impl Simulator {
             comps: Vec::new(),
             comp_names: Vec::new(),
             signals: SignalBoard::new(),
-            queue: QueueSlot::Heap(EventQueue::new()),
-            queue_choice: None,
+            queue: EventQueue::new(),
             clocks: Vec::new(),
             time: SimTime::ZERO,
             stop: None,
@@ -358,26 +287,9 @@ impl Simulator {
         }
     }
 
-    /// The queue implementation currently live (before the first run this
-    /// is the build-phase staging queue; the pinned choice is made when
-    /// [`run`](Self::run) first executes, unless set explicitly).
+    /// The event-queue implementation: always [`QueueKind::Heap`].
     pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Pins the event-queue implementation, migrating any pending events
-    /// (original sequence numbers preserved, so the pop order — and hence
-    /// the simulation — cannot change; see `tests/determinism.rs`).
-    ///
-    /// Without an explicit choice, the first [`run`](Self::run) call
-    /// auto-selects from a system-size hint: the time wheel when at least
-    /// [`QUEUE_AUTO_WHEEL_COMPONENTS`] components are registered (or
-    /// always, when the `wheel-queue` cargo feature forces it), the
-    /// binary heap otherwise. The rationale for the threshold is on
-    /// [`QueueKind`].
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue_choice = Some(kind);
-        self.migrate_queue(kind);
+        QueueKind::Heap
     }
 
     /// Enables or disables the clocked-path specialization (A/B and
@@ -428,100 +340,30 @@ impl Simulator {
         self.calendar_on = on;
         if on {
             // Queue → calendar: lift every pending `ClockToggle` into
-            // its clock's slot; everything else is re-inserted with its
-            // original sequence number (same recipe as `migrate_queue`).
-            let kind = self.queue.kind();
-            let (events, next_seq) = self.drain_queue();
-            let keep: Vec<Event> = events
-                .into_iter()
-                .filter(|ev| match ev.kind {
+            // its clock's slot; everything else goes back with its
+            // original sequence number.
+            for ev in self.queue.drain_ordered() {
+                match ev.kind {
                     EventKind::ClockToggle(k) => {
                         debug_assert!(self.calendar[k].is_none(), "one toggle per clock");
                         self.calendar[k] = Some((ev.time, ev.seq));
-                        false
                     }
-                    _ => true,
-                })
-                .collect();
-            self.rebuild_queue(kind, keep, next_seq);
+                    _ => self.queue.push_event(ev),
+                }
+            }
         } else {
             // Calendar → queue: park every slot as an ordinary event.
             for (k, slot) in self.calendar.iter_mut().enumerate() {
                 if let Some((time, seq)) = slot.take() {
-                    let ev = Event {
+                    self.queue.push_event(Event {
                         time,
                         delta: 0,
                         seq,
                         kind: EventKind::ClockToggle(k),
-                    };
-                    match &mut self.queue {
-                        QueueSlot::Heap(q) => q.push_event(ev),
-                        QueueSlot::Wheel(q) => q.push_event(ev),
-                    }
+                    });
                 }
             }
         }
-    }
-
-    /// The queue kind the auto-selection hint resolves to right now.
-    fn auto_queue_kind(&self) -> QueueKind {
-        if cfg!(feature = "wheel-queue") || self.comps.len() >= QUEUE_AUTO_WHEEL_COMPONENTS {
-            QueueKind::Wheel
-        } else {
-            QueueKind::Heap
-        }
-    }
-
-    /// Moves every pending event out of the live queue, earliest first,
-    /// along with the sequence counter to hand to the successor queue.
-    fn drain_queue(&mut self) -> (Vec<Event>, u64) {
-        match &mut self.queue {
-            QueueSlot::Heap(q) => (q.drain_ordered(), q.scheduled_total()),
-            QueueSlot::Wheel(q) => (q.drain_ordered(), q.scheduled_total()),
-        }
-    }
-
-    /// Replaces the live queue with a fresh one of `kind` holding
-    /// `events` (original sequence numbers preserved) and the inherited
-    /// counter — the single migration recipe shared by queue-kind
-    /// switches and calendar enablement, so the cursor-anchoring and
-    /// seq-handover rules cannot diverge between the two.
-    fn rebuild_queue(&mut self, kind: QueueKind, events: Vec<Event>, next_seq: u64) {
-        self.queue = match kind {
-            QueueKind::Heap => QueueSlot::Heap(EventQueue::new()),
-            QueueKind::Wheel => {
-                let mut q = WheelQueue::new();
-                // Anchor the horizon at the earliest pending tick (the
-                // documented migration recipe) or the current time.
-                q.set_cursor(
-                    events
-                        .first()
-                        .map(|e| e.time.ticks())
-                        .unwrap_or(self.time.ticks()),
-                );
-                QueueSlot::Wheel(q)
-            }
-        };
-        for ev in events {
-            match &mut self.queue {
-                QueueSlot::Heap(q) => q.push_event(ev),
-                QueueSlot::Wheel(q) => q.push_event(ev),
-            }
-        }
-        match &mut self.queue {
-            QueueSlot::Heap(q) => q.set_next_seq(next_seq),
-            QueueSlot::Wheel(q) => q.set_next_seq(next_seq),
-        }
-    }
-
-    /// Swaps the live queue implementation for `kind`, re-inserting every
-    /// pending event with its original sequence number.
-    fn migrate_queue(&mut self, kind: QueueKind) {
-        if self.queue.kind() == kind {
-            return;
-        }
-        let (events, next_seq) = self.drain_queue();
-        self.rebuild_queue(kind, events, next_seq);
     }
 
     /// Declares a signal.
@@ -701,11 +543,11 @@ impl Simulator {
     /// makes a resumed run replay bit-identically: the scheduling order
     /// is a pure function of the event keys and the counter.
     ///
-    /// Takes `&mut self` because the queue is drained through the
-    /// proven ordered-migration recipe and rebuilt in place — the
-    /// simulator is unchanged when this returns. Must be called between
-    /// runs (never from inside a `wake`); carried-wake and quiet-toggle
-    /// scratch state is provably empty there and is not serialized.
+    /// Takes `&mut self` because the queue is drained in order and
+    /// refilled in place — the simulator is unchanged when this
+    /// returns. Must be called between runs (never from inside a
+    /// `wake`); carried-wake and quiet-toggle scratch state is provably
+    /// empty there and is not serialized.
     /// The tracer is observability, not state, and is not serialized.
     pub fn save_state(&mut self, w: &mut crate::snapshot::StateWriter) {
         debug_assert!(
@@ -738,8 +580,7 @@ impl Simulator {
             }
         }
         // Pending events, earliest first, with original keys.
-        let kind = self.queue.kind();
-        let (events, next_seq) = self.drain_queue();
+        let events = self.queue.drain_ordered();
         w.put_u64(events.len() as u64);
         for ev in &events {
             w.put_u64(ev.time.ticks());
@@ -766,21 +607,27 @@ impl Simulator {
                 }
             }
         }
-        w.put_u64(next_seq);
-        self.rebuild_queue(kind, events, next_seq);
+        w.put_u64(self.queue.scheduled_total());
+        for ev in events {
+            self.queue.push_event(ev);
+        }
     }
 
     /// Restores kernel state written by [`Simulator::save_state`] onto a
     /// simulator with the same topology (components, signals, clocks).
     ///
-    /// The live queue implementation and the calendar placement are
-    /// *target* choices, not snapshot contents: events are rebuilt into
-    /// whatever queue kind this simulator uses, and if the snapshot's
-    /// calendar placement differs from this simulator's, the pending
-    /// toggles are migrated through the same `(time, seq)`-preserving
-    /// recipe as [`set_clock_calendar`](Self::set_clock_calendar) — so a
-    /// snapshot taken on a heap/calendar system restores bit-identically
-    /// onto a wheel/queued one and vice versa.
+    /// The calendar placement is a *target* choice, not snapshot
+    /// content: if the snapshot's placement differs from this
+    /// simulator's, the pending toggles are migrated through the same
+    /// `(time, seq)`-preserving recipe as
+    /// [`set_clock_calendar`](Self::set_clock_calendar) — so a snapshot
+    /// taken on a calendar system restores bit-identically onto a
+    /// queued-toggle one and vice versa.
+    ///
+    /// Every clock must have exactly one pending toggle: in its calendar
+    /// slot when the snapshot was saved with the calendar on, one queued
+    /// `ClockToggle` otherwise. Any other schedule is rejected as
+    /// [`Corrupt`](crate::SnapshotError::Corrupt).
     ///
     /// On error the simulator may be partially restored and must be
     /// discarded.
@@ -828,6 +675,7 @@ impl Simulator {
         }
         let count = r.get_u64("event count")?;
         let mut events = Vec::new();
+        let mut queued_toggles = vec![0u64; clocks];
         for _ in 0..count {
             let time = SimTime::from_ticks(r.get_u64("event time")?);
             let delta = r.get_u32("event delta")?;
@@ -868,6 +716,7 @@ impl Simulator {
                             context: format!("event names clock {k} of {clocks}"),
                         });
                     }
+                    queued_toggles[k as usize] += 1;
                     EventKind::ClockToggle(k as usize)
                 }
                 t => {
@@ -883,9 +732,31 @@ impl Simulator {
                 kind,
             });
         }
+        // One pending toggle per clock, where the saved placement keeps
+        // it: a second one would double the clock's edges.
+        for (k, (slot, &queued)) in self.calendar.iter().zip(&queued_toggles).enumerate() {
+            let one_toggle = if saved_calendar_on {
+                slot.is_some() && queued == 0
+            } else {
+                slot.is_none() && queued == 1
+            };
+            if !one_toggle {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "clock {k} has {} calendar and {queued} queued toggles \
+                         (saved with the calendar {})",
+                        usize::from(slot.is_some()),
+                        if saved_calendar_on { "on" } else { "off" },
+                    ),
+                });
+            }
+        }
         let next_seq = r.get_u64("next seq")?;
-        let kind = self.queue.kind();
-        self.rebuild_queue(kind, events, next_seq);
+        self.queue = EventQueue::new();
+        for ev in events {
+            self.queue.push_event(ev);
+        }
+        self.queue.set_next_seq(next_seq);
         // Calendar placement is this simulator's runtime choice; if the
         // snapshot was taken under the other placement, migrate the
         // toggles through the standard `(time, seq)`-preserving path.
@@ -974,43 +845,21 @@ impl Simulator {
     ///
     /// A previously recorded stop reason is cleared so the simulation can be
     /// resumed after inspection.
-    ///
-    /// The first call pins the queue implementation (see
-    /// [`set_queue_kind`](Self::set_queue_kind)); the loop itself is
-    /// monomorphized per implementation and selected here, once per call
-    /// — never inside the per-event path.
     pub fn run(&mut self, limit: RunLimit) -> RunSummary {
-        if self.queue_choice.is_none() {
-            let kind = self.auto_queue_kind();
-            self.queue_choice = Some(kind);
-            self.migrate_queue(kind);
-        }
-        // The slot is taken out for the duration of the run so the loop
+        // The queue is taken out for the duration of the run so the loop
         // borrows the queue and the simulator independently.
-        match std::mem::replace(&mut self.queue, QueueSlot::Heap(EventQueue::new())) {
-            QueueSlot::Heap(mut q) => {
-                let summary = self.run_core(limit, &mut q);
-                self.queue = QueueSlot::Heap(q);
-                summary
-            }
-            QueueSlot::Wheel(mut q) => {
-                let summary = self.run_core(limit, &mut q);
-                self.queue = QueueSlot::Wheel(q);
-                summary
-            }
-        }
+        let mut queue = std::mem::take(&mut self.queue);
+        let summary = self.run_core(limit, &mut queue);
+        self.queue = queue;
+        summary
     }
 
-    /// The event loop. Generic over the queue implementation — exactly
-    /// two monomorphizations exist, and `#[inline(never)]` keeps each one
-    /// a single outlined function so that carrying both in one binary
-    /// does not perturb the code placement of either (the historical
-    /// per-build feature selection existed because a naive second
-    /// instantiation cost ~25 % wall clock on the small-system path; the
-    /// benches `kernel_micro` / `exp_headline` pin the shaped version at
-    /// parity with a single-queue build).
+    /// The event loop. `#[inline(never)]` keeps it one outlined
+    /// function: `run` and its wrappers stay thin, and the loop's code
+    /// does not change with the code of its callers. The loop is
+    /// sensitive to code layout (see the frame-hoisting note below).
     #[inline(never)]
-    fn run_core<Q: Queue>(&mut self, limit: RunLimit, queue: &mut Q) -> RunSummary {
+    fn run_core(&mut self, limit: RunLimit, queue: &mut EventQueue) -> RunSummary {
         // Reporting-only wall-clock sample: never feeds back into event
         // ordering.
         #[allow(clippy::disallowed_methods)]
@@ -1117,9 +966,7 @@ impl Simulator {
                     // construction, dominates queued dispatch — while
                     // the extra code in this loop's body cost the
                     // clocked benches 5-12 % wall clock from codegen
-                    // alone (the same layout sensitivity the queue
-                    // monomorphization history documents above). The
-                    // per-event form is the measured optimum.
+                    // alone. The per-event form is the measured optimum.
                     match ev.kind {
                         EventKind::Start(cid) => self.dispatch(queue, cid, Wake::Start, t, delta),
                         EventKind::Wake(cid, tag) => {
@@ -1328,7 +1175,7 @@ impl Simulator {
     /// otherwise. The sequence number is claimed at exactly this point
     /// on both paths, so the global scheduling order is identical.
     #[inline]
-    fn toggle_clock<Q: Queue>(&mut self, queue: &mut Q, k: usize, t: SimTime) {
+    fn toggle_clock(&mut self, queue: &mut EventQueue, k: usize, t: SimTime) {
         self.fast.clock_toggles += 1;
         let clock = &self.clocks[k];
         let wire = clock.wire;
@@ -1357,7 +1204,7 @@ impl Simulator {
     /// Moves any carried-but-undispatched subscriber wakes back into the
     /// event queue at `(t, delta)`, so an interrupted run can resume with
     /// exactly the dispatch sequence the fully-queued implementation had.
-    fn requeue_pending_wakes<Q: Queue>(&mut self, queue: &mut Q, t: SimTime, delta: u32) {
+    fn requeue_pending_wakes(&mut self, queue: &mut EventQueue, t: SimTime, delta: u32) {
         for (cid, sid) in self.pending_wakes.drain(..) {
             queue.push(t, delta, EventKind::SignalWake(cid, sid));
         }
@@ -1373,9 +1220,9 @@ impl Simulator {
         }
     }
 
-    fn dispatch<Q: Queue>(
+    fn dispatch(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue,
         cid: ComponentId,
         cause: Wake,
         time: SimTime,

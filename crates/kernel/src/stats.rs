@@ -28,12 +28,12 @@ impl KernelStats {
 
 /// Counters for the kernel's clocked fast paths, kept **outside**
 /// [`KernelStats`] on purpose: `KernelStats` is part of the simulation's
-/// bit-identity contract (specialization on/off, calendar on/off, heap
-/// vs wheel must all report the same values), while these counters
-/// *describe which path served each toggle* and therefore differ by
-/// construction between the reference and fast configurations. They are
-/// pure observability — experiments assert fast-path coverage with
-/// them, they never feed back into the simulation.
+/// bit-identity contract (specialization on/off and calendar on/off must
+/// report the same values), while these counters *describe which path
+/// served each toggle* and therefore differ by construction between the
+/// reference and fast configurations. They are pure observability —
+/// experiments assert fast-path coverage with them, they never feed back
+/// into the simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Clock toggles dispatched, over all paths (queued + calendar).

@@ -1,5 +1,5 @@
-//! Differential tests for the kernel's clocked-path specialization, the
-//! clock calendar and the runtime queue selection.
+//! Differential tests for the kernel's clocked-path specialization and
+//! the clock calendar.
 //!
 //! The fast paths (edge-summary quiet toggles + batched dispatch behind
 //! `Simulator::set_clock_specialization` / `DMI_KERNEL_SPECIALIZE`, and
@@ -9,15 +9,11 @@
 //! deltas, causes), same observed signal values, same [`KernelStats`],
 //! same traces — under randomized multi-clock (co-prime period)
 //! subscribe topologies, timer interleavings and event-budget
-//! interruptions. The same harness pins the binary-heap and time-wheel
-//! run loops identical.
+//! interruptions.
 
 use std::any::Any;
 
-use dmi_kernel::{
-    Component, Ctx, Edge, KernelStats, QueueKind, RunLimit, SimTime, Simulator, Wake, Wire,
-    QUEUE_AUTO_WHEEL_COMPONENTS,
-};
+use dmi_kernel::{Component, Ctx, Edge, KernelStats, RunLimit, SimTime, Simulator, Wake, Wire};
 use proptest::prelude::*;
 
 /// A probe component: logs every wake (time, delta, cause, the values of
@@ -142,11 +138,10 @@ struct Observed {
     vcd: String,
 }
 
-fn run_topology(top: &Topology, specialize: bool, calendar: bool, queue: QueueKind) -> Observed {
+fn run_topology(top: &Topology, specialize: bool, calendar: bool) -> Observed {
     let mut sim = Simulator::new();
     sim.set_clock_specialization(specialize);
     sim.set_clock_calendar(calendar);
-    sim.set_queue_kind(queue);
     let clocks: Vec<Wire> = top
         .clock_periods
         .iter()
@@ -237,8 +232,8 @@ proptest! {
     /// randomized topologies, including sliced budget-interrupted runs.
     #[test]
     fn specialization_is_bit_identical(top in topology_strategy()) {
-        let fast = run_topology(&top, true, true, QueueKind::Heap);
-        let reference = run_topology(&top, false, true, QueueKind::Heap);
+        let fast = run_topology(&top, true, true);
+        let reference = run_topology(&top, false, true);
         prop_assert_eq!(&fast, &reference);
     }
 
@@ -247,8 +242,8 @@ proptest! {
     /// periods → dense same-tick ties between clocks and timers).
     #[test]
     fn calendar_is_bit_identical(top in topology_strategy()) {
-        let calendar = run_topology(&top, true, true, QueueKind::Heap);
-        let queued = run_topology(&top, true, false, QueueKind::Heap);
+        let calendar = run_topology(&top, true, true);
+        let queued = run_topology(&top, true, false);
         prop_assert_eq!(&calendar, &queued);
     }
 
@@ -256,21 +251,9 @@ proptest! {
     /// it must also match with the reference commit/dispatch path.
     #[test]
     fn calendar_is_bit_identical_unspecialized(top in topology_strategy()) {
-        let calendar = run_topology(&top, false, true, QueueKind::Heap);
-        let queued = run_topology(&top, false, false, QueueKind::Heap);
+        let calendar = run_topology(&top, false, true);
+        let queued = run_topology(&top, false, false);
         prop_assert_eq!(&calendar, &queued);
-    }
-
-    /// The heap and wheel run loops execute the same simulation —
-    /// crossed against the calendar dimension, so all four
-    /// (queue × toggle-path) corners collapse to one behaviour.
-    #[test]
-    fn queue_kinds_are_bit_identical(top in topology_strategy()) {
-        let heap = run_topology(&top, true, true, QueueKind::Heap);
-        let wheel = run_topology(&top, true, true, QueueKind::Wheel);
-        prop_assert_eq!(&heap, &wheel);
-        let wheel_queued = run_topology(&top, true, false, QueueKind::Wheel);
-        prop_assert_eq!(&heap, &wheel_queued);
     }
 
     /// Event-budget slicing is replay-exact: resuming past budget stops
@@ -285,9 +268,8 @@ proptest! {
     fn budget_slicing_is_replay_exact(
         top in topology_strategy().prop_filter("sliced", |t| t.budget > 0)
     ) {
-        let sliced = run_topology(&top, true, true, QueueKind::Heap);
-        let whole =
-            run_topology(&Topology { budget: 0, ..top.clone() }, true, false, QueueKind::Heap);
+        let sliced = run_topology(&top, true, true);
+        let whole = run_topology(&Topology { budget: 0, ..top.clone() }, true, false);
         prop_assert_eq!(&sliced.logs, &whole.logs);
         prop_assert_eq!(&sliced.finals, &whole.finals);
         prop_assert_eq!(&sliced.vcd, &whole.vcd);
@@ -371,29 +353,6 @@ fn traced_clock_stays_on_the_slow_path() {
     assert_eq!(sim.quiet_toggles(), 0, "traced clocks are never quiet");
     assert_eq!(sim.tracer().records().len(), 19, "all 19 edges recorded");
     let _ = sim.component::<EdgeCounter>(id);
-}
-
-/// Queue auto-selection: small systems pin the heap, systems at or above
-/// the component threshold pin the wheel, and the `wheel-queue` feature
-/// forces the wheel everywhere.
-#[test]
-fn queue_auto_selection_follows_the_size_hint() {
-    let (mut small, _) = rising_only_sim(true);
-    small.run_for(10);
-    if cfg!(feature = "wheel-queue") {
-        assert_eq!(small.queue_kind(), QueueKind::Wheel, "feature forces the wheel");
-    } else {
-        assert_eq!(small.queue_kind(), QueueKind::Heap);
-    }
-
-    let mut big = Simulator::new();
-    let clk = big.add_clock("clk", 10);
-    for _ in 0..QUEUE_AUTO_WHEEL_COMPONENTS {
-        let id = big.add_component(Box::new(EdgeCounter { clk, edges: 0 }));
-        big.subscribe(id, clk, Edge::Rising);
-    }
-    big.run_for(10);
-    assert_eq!(big.queue_kind(), QueueKind::Wheel);
 }
 
 /// With the calendar on (the default), every periodic toggle dispatches
@@ -521,31 +480,4 @@ fn coprime_clocks_interleave_identically() {
     let (edges, finals, stats, toggles) = run(true);
     assert_eq!(edges, vec![70, 42, 30]);
     assert_eq!(run(false), (edges, finals, stats, toggles));
-}
-
-/// Switching the queue implementation mid-run migrates pending events
-/// without disturbing the simulation.
-#[test]
-fn mid_run_queue_migration_is_seamless() {
-    let run_with_switch = |switch_at: Option<u64>| {
-        let (mut sim, id) = rising_only_sim(true);
-        sim.set_queue_kind(QueueKind::Heap);
-        if let Some(at) = switch_at {
-            sim.run_for(at);
-            sim.set_queue_kind(QueueKind::Wheel);
-            assert_eq!(sim.queue_kind(), QueueKind::Wheel);
-            sim.run_for(200 - at);
-        } else {
-            sim.run_for(200);
-        }
-        (
-            sim.component::<EdgeCounter>(id).unwrap().edges,
-            sim.stats(),
-            sim.time().ticks(),
-        )
-    };
-    let straight = run_with_switch(None);
-    for at in [1, 55, 100, 199] {
-        assert_eq!(run_with_switch(Some(at)), straight, "switch at {at}");
-    }
 }

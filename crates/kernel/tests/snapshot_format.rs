@@ -1,13 +1,14 @@
 //! Snapshot robustness, kernel level: save/restore round-trips replay
-//! bit-identically across queue kinds and calendar placements, and every
-//! flavour of corrupt input — truncation, bit flips, wrong magic, wrong
-//! version — comes back as a typed [`SnapshotError`], never a panic.
+//! bit-identically across calendar placements, and every flavour of
+//! corrupt input — truncation, bit flips, wrong magic, wrong version, a
+//! schedule that holds a clock's toggle twice — comes back as a typed
+//! [`SnapshotError`], never a panic.
 
 use std::any::Any;
 
 use dmi_kernel::{
-    Component, Ctx, Edge, QueueKind, Simulator, Snapshot, SnapshotError, StateReader, StateWriter,
-    Wire, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Component, Ctx, Edge, Simulator, Snapshot, SnapshotError, StateReader, StateWriter, Wire,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -65,14 +66,10 @@ impl Component for Lfsr {
     }
 }
 
-/// Builds a ring of `n` LFSRs on `n` buses under the given kernel knobs.
-fn build_ring(
-    n: usize,
-    queue: QueueKind,
-    calendar: bool,
-) -> (Simulator, Vec<dmi_kernel::ComponentId>, Vec<Wire>) {
+/// Builds a ring of `n` LFSRs on `n` buses with the clock calendar on or
+/// off.
+fn build_ring(n: usize, calendar: bool) -> (Simulator, Vec<dmi_kernel::ComponentId>, Vec<Wire>) {
     let mut sim = Simulator::new();
-    sim.set_queue_kind(queue);
     sim.set_clock_calendar(calendar);
     let clk = sim.add_clock("clk", 10);
     let buses: Vec<Wire> = (0..n).map(|i| sim.wire(format!("bus{i}"), 64)).collect();
@@ -136,17 +133,11 @@ fn observe(sim: &Simulator, ids: &[dmi_kernel::ComponentId], buses: &[Wire]) -> 
 
 #[test]
 fn restored_ring_replays_bit_identically_across_kernel_twins() {
-    // Save on one (queue, calendar) twin, restore on every other: the
+    // Save with the calendar on or off, restore onto both: the
     // continuation must match the uninterrupted run exactly — the
     // snapshot carries the schedule, not the substrate executing it.
-    let configs = [
-        (QueueKind::Heap, true),
-        (QueueKind::Heap, false),
-        (QueueKind::Wheel, true),
-        (QueueKind::Wheel, false),
-    ];
-    for &(src_q, src_cal) in &configs {
-        let (mut cont, cont_ids, cont_buses) = build_ring(5, src_q, src_cal);
+    for src_cal in [true, false] {
+        let (mut cont, cont_ids, cont_buses) = build_ring(5, src_cal);
         cont.run_for(333);
         let snap = capture(&mut cont);
         // Saving must not disturb the source: keep running it as the
@@ -154,14 +145,14 @@ fn restored_ring_replays_bit_identically_across_kernel_twins() {
         cont.run_for(444);
         let reference = observe(&cont, &cont_ids, &cont_buses);
 
-        for &(dst_q, dst_cal) in &configs {
-            let (mut restored, ids, buses) = build_ring(5, dst_q, dst_cal);
+        for dst_cal in [true, false] {
+            let (mut restored, ids, buses) = build_ring(5, dst_cal);
             apply(&mut restored, &snap).expect("restore onto twin");
             restored.run_for(444);
             assert_eq!(
                 observe(&restored, &ids, &buses),
                 reference,
-                "restore {src_q:?}/cal={src_cal} -> {dst_q:?}/cal={dst_cal} diverged"
+                "restore cal={src_cal} -> cal={dst_cal} diverged"
             );
         }
     }
@@ -169,7 +160,7 @@ fn restored_ring_replays_bit_identically_across_kernel_twins() {
 
 #[test]
 fn snapshot_round_trips_through_bytes_and_disk() {
-    let (mut sim, _, _) = build_ring(3, QueueKind::Heap, true);
+    let (mut sim, _, _) = build_ring(3, true);
     sim.run_for(100);
     let snap = capture(&mut sim);
     let bytes = snap.to_bytes();
@@ -190,7 +181,7 @@ fn snapshot_round_trips_through_bytes_and_disk() {
 
 /// A real mid-run capture to corrupt (deterministic content).
 fn victim_bytes() -> Vec<u8> {
-    let (mut sim, _, _) = build_ring(4, QueueKind::Heap, true);
+    let (mut sim, _, _) = build_ring(4, true);
     sim.run_for(250);
     capture(&mut sim).to_bytes()
 }
@@ -256,7 +247,7 @@ fn corrupt_component_payload_is_a_typed_error_on_restore() {
     // A snapshot that *parses* (checksums recomputed over garbage) must
     // still fail restore with a typed error, not a panic: here the
     // kernel section claims an out-of-range component in an event.
-    let (mut sim, _, _) = build_ring(2, QueueKind::Heap, true);
+    let (mut sim, _, _) = build_ring(2, true);
     sim.run_for(50);
     let snap = capture(&mut sim);
     let mut garbled = Snapshot::new();
@@ -271,7 +262,7 @@ fn corrupt_component_payload_is_a_typed_error_on_restore() {
         garbled.push_section(name.to_string(), payload);
     }
     let reparsed = Snapshot::from_bytes(&garbled.to_bytes()).expect("checksums are consistent");
-    let (mut target, _, _) = build_ring(2, QueueKind::Heap, true);
+    let (mut target, _, _) = build_ring(2, true);
     assert!(
         apply(&mut target, &reparsed).is_err(),
         "garbled kernel section restored successfully"
@@ -280,13 +271,87 @@ fn corrupt_component_payload_is_a_typed_error_on_restore() {
 
 #[test]
 fn restore_onto_wrong_topology_is_a_mismatch() {
-    let (mut sim, _, _) = build_ring(3, QueueKind::Heap, true);
+    let (mut sim, _, _) = build_ring(3, true);
     sim.run_for(50);
     let snap = capture(&mut sim);
-    let (mut smaller, _, _) = build_ring(2, QueueKind::Heap, true);
+    let (mut smaller, _, _) = build_ring(2, true);
     match apply(&mut smaller, &snap) {
         Err(SnapshotError::Mismatch { .. }) => {}
         other => panic!("expected Mismatch, got {other:?}"),
+    }
+}
+
+/// A capture of a 2-LFSR ring taken at time 0, before any run, with the
+/// clock calendar on or off.
+fn time_zero_capture(calendar: bool) -> Snapshot {
+    let (mut sim, _, _) = build_ring(2, calendar);
+    capture(&mut sim)
+}
+
+/// A capture whose kernel section holds clock 0's next toggle twice: in
+/// its calendar slot and as a queued `ClockToggle`. It splices the slot
+/// of a calendar capture onto the event list of a queued-toggle capture
+/// (both taken at time 0, so every byte before the placement flag
+/// agrees) and claims the given placement. `push_section` computes
+/// fresh checksums, so only the kernel's own checks can reject it.
+fn double_toggle_capture(calendar_placement: bool) -> Snapshot {
+    let cal = time_zero_capture(true);
+    let queued = time_zero_capture(false);
+    let (ck, qk) = (
+        cal.section("kernel").unwrap(),
+        queued.section("kernel").unwrap(),
+    );
+    // The first differing byte is the placement flag. A `u32` clock
+    // count follows, then the ring's one clock slot: armed, it is a set
+    // flag, fire time and seq (17 bytes); empty, a clear flag (1 byte).
+    // The event list comes next.
+    let flag = ck.iter().zip(qk).position(|(a, b)| a != b).unwrap();
+    let slots = flag + 1 + 4;
+    let mut kernel = ck[..slots + 17].to_vec();
+    kernel[flag] = u8::from(calendar_placement);
+    kernel.extend_from_slice(&qk[slots + 1..]);
+    let mut spliced = Snapshot::new();
+    for name in cal.section_names() {
+        let payload = match name {
+            "kernel" => kernel.clone(),
+            _ => cal.section(name).unwrap().to_vec(),
+        };
+        spliced.push_section(name.to_string(), payload);
+    }
+    spliced
+}
+
+#[test]
+fn a_clock_toggle_held_twice_is_corrupt() {
+    // Clean time-0 captures restore onto either placement and replay the
+    // straight run (20 rising edges in 200 ticks)...
+    let (mut straight, ids, buses) = build_ring(2, true);
+    straight.run_for(200);
+    let reference = observe(&straight, &ids, &buses);
+    for src in [true, false] {
+        for dst in [true, false] {
+            let (mut target, ids, buses) = build_ring(2, dst);
+            apply(&mut target, &time_zero_capture(src)).expect("clean capture restores");
+            target.run_for(200);
+            assert_eq!(
+                observe(&target, &ids, &buses),
+                reference,
+                "cal={src} -> cal={dst}"
+            );
+        }
+    }
+    // ...while the spliced ones are corrupt, whichever placement they
+    // claim and whichever the target uses.
+    for placement in [true, false] {
+        for dst in [true, false] {
+            let (mut target, _, _) = build_ring(2, dst);
+            match apply(&mut target, &double_toggle_capture(placement)) {
+                Err(SnapshotError::Corrupt { .. }) => {}
+                other => panic!(
+                    "saved cal={placement} -> target cal={dst}: expected Corrupt, got {other:?}"
+                ),
+            }
+        }
     }
 }
 
@@ -312,7 +377,7 @@ proptest! {
             corrupt[pos] ^= 1 << bit;
         }
         if let Ok(snap) = Snapshot::from_bytes(&corrupt) {
-            let (mut target, _, _) = build_ring(4, QueueKind::Heap, true);
+            let (mut target, _, _) = build_ring(4, true);
             // Either it restores (flip landed in dead framing) or it is
             // a typed error; both are fine — panicking is not.
             let _ = apply(&mut target, &snap);

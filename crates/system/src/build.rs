@@ -12,7 +12,6 @@ use dmi_kernel::{
 };
 
 use crate::builder::{CpuHandle, MasterHandle, MemHandle};
-use crate::config::SystemConfig;
 use crate::report::{CpuReport, MasterReport, MemReport, RunReport};
 use crate::run_ctl::{FaultReport, StopCause, StopCondition};
 
@@ -32,27 +31,26 @@ pub(crate) struct MasterInfo {
 
 /// A built co-simulated MPSoC, ready to run.
 ///
-/// Construct it with [`SystemBuilder`](crate::SystemBuilder) (the
-/// composable API) or [`McSystem::build`] (the declarative
-/// [`SystemConfig`] shim). Run it with [`run`](Self::run) or
-/// [`run_until`](Self::run_until); observe it mid-run with
-/// [`report_now`](Self::report_now) and [`watch_value`](Self::watch_value).
+/// Construct it with [`SystemBuilder`](crate::SystemBuilder). Run it
+/// with [`run`](Self::run) or [`run_until`](Self::run_until); observe it
+/// mid-run with [`report_now`](Self::report_now) and
+/// [`watch_value`](Self::watch_value).
 ///
 /// # Examples
 ///
 /// ```
 /// use dmi_sw::{workloads, WorkloadCfg};
-/// use dmi_system::{mem_base, McSystem, SystemConfig};
+/// use dmi_system::{mem_base, CpuSpec, MemSpec, SystemBuilder};
 ///
 /// let cfg = WorkloadCfg {
 ///     mem_base: mem_base(0),
 ///     iterations: 5,
 ///     ..WorkloadCfg::default()
 /// };
-/// let mut system = McSystem::build(SystemConfig {
-///     programs: vec![workloads::alloc_churn(&cfg)],
-///     ..SystemConfig::default()
-/// });
+/// let mut b = SystemBuilder::new();
+/// b.add_cpu(CpuSpec::new(workloads::alloc_churn(&cfg)));
+/// b.add_memory(MemSpec::wrapper(mem_base(0)));
+/// let mut system = b.build().expect("valid system");
 /// let report = system.run(1_000_000);
 /// assert!(report.all_ok());
 /// ```
@@ -91,8 +89,7 @@ pub struct McSystem {
 
 impl McSystem {
     /// Assembles the struct from builder output (crate-internal; the
-    /// public constructors are `SystemBuilder::build` and
-    /// [`McSystem::build`]).
+    /// public constructor is `SystemBuilder::build`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         sim: Simulator,
@@ -135,22 +132,6 @@ impl McSystem {
     /// before (or between) runs leaves every cycle bit-identical.
     pub fn analyze(&self) -> dmi_analyze::AnalysisReport {
         dmi_analyze::analyze(&self.graph)
-    }
-
-    /// Builds the system described by `config` — the declarative shim
-    /// over [`SystemBuilder`](crate::SystemBuilder), kept cycle-bit-
-    /// identical to the historical constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration (empty programs/memories, more
-    /// than 16 masters, …). Use `config.into_builder().build()` for the
-    /// `Result` form with typed [`BuildError`](crate::BuildError)s.
-    pub fn build(config: SystemConfig) -> McSystem {
-        config
-            .into_builder()
-            .build()
-            .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"))
     }
 
     /// Runs until every CPU halts (and every master finishes) or
@@ -363,13 +344,13 @@ impl McSystem {
     /// restored run replays bit-identically to the uninterrupted
     /// original — cache counters excepted, see `checkpoint`.
     ///
-    /// Runtime twin toggles survive: the snapshot transfers across event
-    /// queue kinds (heap/wheel), clock-calendar settings and
-    /// fault-injection enablement, because those select *how* the same
-    /// schedule executes, not the schedule itself. The fault section is
-    /// applied only when this system carries a fault plan of the same
-    /// shape (spec count); otherwise it is skipped — which is what lets
-    /// a fork diverge onto a different fault plan.
+    /// Runtime twin toggles survive: the snapshot transfers across
+    /// clock-calendar settings and fault-injection enablement, because
+    /// those select *how* the same schedule executes, not the schedule
+    /// itself. The fault section is applied only when this system
+    /// carries a fault plan of the same shape (spec count); otherwise it
+    /// is skipped — which is what lets a fork diverge onto a different
+    /// fault plan.
     ///
     /// On error the system may be partially restored; do not keep
     /// running it without a successful `restore`.

@@ -336,7 +336,6 @@ pub struct SystemBuilder {
     pub(crate) mems: Vec<MemSpec>,
     pub(crate) interconnect: InterconnectKind,
     pub(crate) preset: Option<Preset>,
-    pub(crate) queue: Option<dmi_kernel::QueueKind>,
     pub(crate) clock_calendar: Option<bool>,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) fault_injection: Option<bool>,
@@ -358,7 +357,6 @@ impl SystemBuilder {
             mems: Vec::new(),
             interconnect: InterconnectKind::SharedBus(Default::default()),
             preset: None,
-            queue: None,
             clock_calendar: None,
             faults: None,
             fault_injection: None,
@@ -370,7 +368,8 @@ impl SystemBuilder {
     /// protocol memory module and the interconnect. An empty plan (or no
     /// plan — the default) leaves the simulation cycle-bit-identical to a
     /// fault-free build; a non-empty plan replays exactly for a given
-    /// seed, independent of host timing and kernel queue choice.
+    /// seed, independent of host timing and the kernel's fast-path
+    /// settings.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -384,16 +383,6 @@ impl SystemBuilder {
     /// [`McSystem::set_fault_injection`](crate::McSystem::set_fault_injection).
     pub fn fault_injection(mut self, on: bool) -> Self {
         self.fault_injection = Some(on);
-        self
-    }
-
-    /// Pins the kernel's event-queue implementation instead of letting
-    /// the simulator auto-select it from the system-size hint when the
-    /// first run starts (see [`dmi_kernel::QueueKind`] for the selection
-    /// rationale; both choices are simulation-bit-identical, the knob is
-    /// purely a host-performance override).
-    pub fn queue(mut self, kind: dmi_kernel::QueueKind) -> Self {
-        self.queue = Some(kind);
         self
     }
 
@@ -578,9 +567,6 @@ impl SystemBuilder {
         });
 
         let mut sim = Simulator::new();
-        if let Some(kind) = self.queue {
-            sim.set_queue_kind(kind);
-        }
         if let Some(on) = self.clock_calendar {
             // Before `add_clock`, so the first toggle is armed directly
             // on the chosen path (no migration needed).
@@ -589,10 +575,9 @@ impl SystemBuilder {
         let clk = sim.add_clock("clk", self.clock_period);
 
         // Masters, in insertion order (= bus-master/arbitration order).
-        // Wire-declaration order is load-bearing: for CPU-only systems it
-        // must match the historical `McSystem::build` exactly so that
-        // `SystemConfig` lowerings stay cycle-bit-identical (pinned by
-        // `tests/builder_api.rs`).
+        // Wire-declaration order is load-bearing: it fixes component and
+        // signal ids, and with them the dispatch order the pinned cycle
+        // counts were recorded under.
         let mut cpu_ids = Vec::new();
         let mut master_infos: Vec<MasterInfo> = Vec::new();
         let mut master_ifs = Vec::new();

@@ -1,9 +1,9 @@
-//! System configuration: the knobs of the design-space exploration the
-//! framework exists to support.
+//! System configuration: the memory-model and interconnect choices of
+//! the design-space exploration the framework exists to support, and
+//! the standard shared-memory address layout.
 
 use dmi_core::{SimHeapConfig, StaticMemConfig, WrapperConfig};
 use dmi_interconnect::{BusConfig, CrossbarConfig};
-use dmi_isa::Program;
 
 /// Which memory model backs a shared-memory module.
 #[derive(Debug, Clone, Copy)]
@@ -55,78 +55,6 @@ pub const fn mem_base(i: usize) -> u32 {
 
 /// Size of each module's decode window.
 pub const MEM_WINDOW: u32 = 0x0001_0000;
-
-/// Full description of a co-simulated MPSoC — the declarative shim over
-/// [`SystemBuilder`](crate::SystemBuilder).
-///
-/// Kept for homogeneous scenarios (N identical CPUs on the standard
-/// [`mem_base`] window layout) and pinned **cycle-bit-identical** to the
-/// historical constructor by `tests/builder_api.rs`. Anything the shim
-/// cannot express — heterogeneous `local_mem_size`, variable memory
-/// windows, non-CPU bus masters — is a [`SystemBuilder`]
-/// (crate::SystemBuilder) call away via [`into_builder`]
-/// (Self::into_builder).
-#[derive(Debug, Clone)]
-pub struct SystemConfig {
-    /// Clock period in kernel ticks (must be even; 2 = fastest).
-    pub clock_period: u64,
-    /// Private memory per CPU in bytes (the shim is homogeneous; use
-    /// [`CpuSpec::local_mem_size`](crate::CpuSpec::local_mem_size) on the
-    /// builder for per-CPU sizes).
-    pub local_mem_size: u32,
-    /// One program per CPU (CPU count = `programs.len()`).
-    pub programs: Vec<Program>,
-    /// One entry per shared-memory module, decoded at [`mem_base`]`(i)`.
-    pub memories: Vec<MemModelKind>,
-    /// Interconnect topology.
-    pub interconnect: InterconnectKind,
-    /// Whether the ISSs dispatch predecoded micro-ops through their
-    /// decoded-instruction caches (the default) or run the reference
-    /// word-at-a-time interpreter. Runtime-selectable for A/B
-    /// measurement; results are bit-identical either way. Defaults from
-    /// the `DMI_PREDECODE` environment variable (see
-    /// [`dmi_iss::predecode_default`]).
-    pub predecode: bool,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            clock_period: 2,
-            local_mem_size: crate::builder::DEFAULT_LOCAL_MEM,
-            programs: Vec::new(),
-            memories: vec![MemModelKind::Wrapper(WrapperConfig::default())],
-            interconnect: InterconnectKind::SharedBus(BusConfig::default()),
-            predecode: dmi_iss::predecode_default(),
-        }
-    }
-}
-
-impl SystemConfig {
-    /// Lowers the declarative config onto the composable
-    /// [`SystemBuilder`](crate::SystemBuilder): one CPU per program (all
-    /// with this config's `local_mem_size` and `predecode`), one memory
-    /// per model at [`mem_base`]`(i)` with the standard [`MEM_WINDOW`].
-    ///
-    /// The lowering is what [`McSystem::build`](crate::McSystem::build)
-    /// runs; building the result produces a cycle-bit-identical system.
-    pub fn into_builder(self) -> crate::SystemBuilder {
-        let mut b = crate::SystemBuilder::new()
-            .clock_period(self.clock_period)
-            .interconnect(self.interconnect);
-        for program in self.programs {
-            b.add_cpu(
-                crate::CpuSpec::new(program)
-                    .local_mem_size(self.local_mem_size)
-                    .predecode(self.predecode),
-            );
-        }
-        for (i, model) in self.memories.into_iter().enumerate() {
-            b.add_memory(crate::MemSpec::new(model, mem_base(i)));
-        }
-        b
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -7,14 +7,10 @@
 //! reports the *simulation speed* metrics the paper's evaluation is based
 //! on.
 //!
-//! Two construction APIs:
-//!
-//! * [`SystemBuilder`] — the composable API: heterogeneous CPUs
-//!   ([`CpuSpec`]), memories with explicit address windows ([`MemSpec`]),
-//!   non-CPU bus masters (the [`BusMaster`](dmi_interconnect::BusMaster)
-//!   trait), validated construction ([`BuildError`]);
-//! * [`SystemConfig`] — the declarative shim for homogeneous scenarios,
-//!   lowered onto the builder and pinned cycle-bit-identical.
+//! Construction goes through [`SystemBuilder`]: heterogeneous CPUs
+//! ([`CpuSpec`]), memories with explicit address windows ([`MemSpec`]),
+//! non-CPU bus masters (the [`BusMaster`](dmi_interconnect::BusMaster)
+//! trait), validated construction ([`BuildError`]).
 //!
 //! Execution is typed too: [`McSystem::run_until`] takes a composable
 //! [`StopCondition`] (all-halted, cycle budget, watchpoints, no-progress
@@ -63,7 +59,7 @@ pub use dmi_core::{
     faults_enabled_default, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, FaultTrigger,
 };
 pub use dmi_interconnect::{ErrorCounts, MasterError};
-pub use dmi_kernel::{QueueKind, Snapshot, SnapshotError};
-pub use config::{mem_base, InterconnectKind, MemModelKind, SystemConfig, MEM_WINDOW};
+pub use dmi_kernel::{Snapshot, SnapshotError};
+pub use config::{mem_base, InterconnectKind, MemModelKind, MEM_WINDOW};
 pub use report::{CpuReport, MasterReport, MemReport, RunReport};
 pub use run_ctl::{FaultReport, StopCause, StopCondition, DEFAULT_POLL_CYCLES};

@@ -1,73 +1,16 @@
 //! The builder API contract:
 //!
-//! * the `SystemConfig` shim lowers onto `SystemBuilder` **cycle-bit-
-//!   identically** (differential test on the GSM headline scenario);
 //! * every `BuildError` variant is reachable and typed;
 //! * non-CPU masters are first-class: a DMA-only system (zero CPUs)
 //!   builds, runs and stops on its own completion;
 //! * typed run control: watchpoints, no-progress detection, snapshots.
 
-use dmi_core::WrapperConfig;
-use dmi_gsm::pipeline::{self, PipelineCfg};
 use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind};
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
-    mem_base, BuildError, CpuSpec, InterconnectKind, McSystem, MemModelKind, MemSpec, Preset,
-    RunReport, StopCause, StopCondition, SystemBuilder, SystemConfig, MEM_WINDOW,
+    mem_base, BuildError, CpuSpec, InterconnectKind, MemSpec, Preset, StopCause, StopCondition,
+    SystemBuilder, MEM_WINDOW,
 };
-
-/// The paper's headline scenario (GSM pipeline, 4 ISSs, 1 wrapper
-/// memory) through the declarative shim.
-fn gsm_via_shim(n_frames: u32) -> RunReport {
-    let cfg = PipelineCfg {
-        n_frames,
-        mem_bases: vec![mem_base(0)],
-        seed: 0x5EED,
-    };
-    let mut sys = McSystem::build(SystemConfig {
-        programs: pipeline::stage_programs(&cfg),
-        memories: vec![MemModelKind::Wrapper(WrapperConfig::default())],
-        ..SystemConfig::default()
-    });
-    sys.run(u64::MAX / 4)
-}
-
-/// The same scenario hand-built on the composable builder.
-fn gsm_via_builder(n_frames: u32) -> RunReport {
-    let cfg = PipelineCfg {
-        n_frames,
-        mem_bases: vec![mem_base(0)],
-        seed: 0x5EED,
-    };
-    let mut b = SystemBuilder::new();
-    for program in pipeline::stage_programs(&cfg) {
-        b.add_cpu(CpuSpec::new(program));
-    }
-    b.add_memory(MemSpec::wrapper(mem_base(0)));
-    let mut sys = b.build().expect("valid system");
-    sys.run(u64::MAX / 4)
-}
-
-#[test]
-fn shim_and_builder_are_cycle_bit_identical_on_gsm_headline() {
-    let a = gsm_via_shim(2);
-    let b = gsm_via_builder(2);
-    assert!(a.all_ok(), "{}", a.summary());
-    assert!(b.all_ok(), "{}", b.summary());
-    assert_eq!(a.sim_cycles, b.sim_cycles, "simulated cycle counts differ");
-    assert_eq!(a.kernel.events, b.kernel.events, "kernel event counts differ");
-    assert_eq!(a.kernel.deltas, b.kernel.deltas, "delta counts differ");
-    assert_eq!(a.bus.transactions, b.bus.transactions);
-    assert_eq!(a.bus.busy_cycles, b.bus.busy_cycles);
-    for (i, (ca, cb)) in a.cpus.iter().zip(&b.cpus).enumerate() {
-        assert_eq!(ca.isa.instructions, cb.isa.instructions, "cpu{i} instructions");
-        assert_eq!(ca.cpu_cycles, cb.cpu_cycles, "cpu{i} cycles");
-        assert_eq!(
-            ca.cosim.bus_wait_cycles, cb.cosim.bus_wait_cycles,
-            "cpu{i} bus waits"
-        );
-    }
-}
 
 #[test]
 fn build_errors_are_typed() {
@@ -332,10 +275,10 @@ fn report_now_observes_without_advancing() {
         iterations: 50,
         ..WorkloadCfg::default()
     };
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::alloc_churn(&wl)],
-        ..SystemConfig::default()
-    });
+    let mut b = SystemBuilder::new();
+    b.add_cpu(CpuSpec::new(workloads::alloc_churn(&wl)));
+    b.add_memory(MemSpec::wrapper(mem_base(0)));
+    let mut sys = b.build().unwrap();
     let mid = sys.run_until(&StopCondition::cycles(5_000));
     assert_eq!(mid.cause, StopCause::CycleBudget);
     let snap = sys.report_now();

@@ -1,7 +1,6 @@
 //! System-state capture, end to end: a run resumed from a checkpoint is
 //! cycle-bit-identical to the uninterrupted original — on the headline
-//! GSM pipeline across event-queue kinds and calendar placements, under
-//! live fault injection, from periodic crash-safe checkpoints, and
+//! GSM pipeline across calendar placements, under live fault injection, from periodic crash-safe checkpoints, and
 //! through the warm-fork API. Cache counters (decoded-instruction cache,
 //! pointer-table TLB) are the one documented exception: they are rebuilt
 //! cold after restore, never serialized.
@@ -14,7 +13,7 @@ use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind, RetryPolicy};
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
     mem_base, CpuSpec, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTrigger, McSystem, MemSpec,
-    QueueKind, RunReport, SnapshotError, StopCause, StopCondition, SystemBuilder,
+    RunReport, SnapshotError, StopCause, StopCondition, SystemBuilder,
 };
 use proptest::prelude::*;
 
@@ -39,9 +38,9 @@ fn fingerprint(r: &RunReport) -> String {
     format!("{r:?}")
 }
 
-/// Further drops the kernel and fast-path counters: those differ *by
-/// construction* between calendar placements and queue kinds, so
-/// cross-twin restores compare on the architectural outcome only.
+/// Further drops the kernel and fast-path counters, so cross-twin
+/// restores compare on the architectural outcome only (the fast-path
+/// counters differ *by construction* between calendar placements).
 fn functional_fingerprint(r: &RunReport) -> String {
     let mut r = r.clone();
     r.kernel = Default::default();
@@ -49,17 +48,16 @@ fn functional_fingerprint(r: &RunReport) -> String {
     fingerprint(&r)
 }
 
-/// The headline GSM pipeline under explicit kernel knobs, with the fault
-/// layer compiled in (an empty seeded plan, so the controller's RNG
-/// stream state rides through every snapshot).
-fn gsm_system(queue: QueueKind, calendar: bool) -> McSystem {
+/// The headline GSM pipeline with the clock calendar pinned on or off,
+/// with the fault layer compiled in (an empty seeded plan, so the
+/// controller's RNG stream state rides through every snapshot).
+fn gsm_system(calendar: bool) -> McSystem {
     let cfg = PipelineCfg {
         n_frames: 2,
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
     let mut b = SystemBuilder::new()
-        .queue(queue)
         .clock_calendar(calendar)
         .faults(FaultPlan::new(0xF00D))
         .fault_injection(true);
@@ -79,52 +77,49 @@ fn headline_restore_is_cycle_bit_identical_across_kernel_twins() {
     // Split the continuous run at a fixed cycle, checkpoint there, and
     // finish both the original and a restored twin: every counter that
     // is state (not cache) must match, and the two halves must add up
-    // to the pinned headline total — under both queues and both
-    // calendar placements.
+    // to the pinned headline total — under both calendar placements.
     const SPLIT: u64 = 200_000;
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        for calendar in [true, false] {
-            let label = format!("{queue:?}/calendar={calendar}");
-            let mut cont = gsm_system(queue, calendar);
-            let first = cont.run_until(&StopCondition::cycles(SPLIT));
-            assert_eq!(first.cause, StopCause::CycleBudget, "{label}");
-            assert_eq!(first.sim_cycles, SPLIT, "{label}");
-            let snap = cont.checkpoint();
-            let cont_rest = run_to_completion(&mut cont);
-            assert!(cont_rest.all_ok(), "{label}: {}", cont_rest.summary());
-            assert_eq!(
-                first.sim_cycles + cont_rest.sim_cycles,
-                HEADLINE_CYCLES,
-                "{label}: checkpointing moved the headline cycle count"
-            );
+    for calendar in [true, false] {
+        let label = format!("calendar={calendar}");
+        let mut cont = gsm_system(calendar);
+        let first = cont.run_until(&StopCondition::cycles(SPLIT));
+        assert_eq!(first.cause, StopCause::CycleBudget, "{label}");
+        assert_eq!(first.sim_cycles, SPLIT, "{label}");
+        let snap = cont.checkpoint();
+        let cont_rest = run_to_completion(&mut cont);
+        assert!(cont_rest.all_ok(), "{label}: {}", cont_rest.summary());
+        assert_eq!(
+            first.sim_cycles + cont_rest.sim_cycles,
+            HEADLINE_CYCLES,
+            "{label}: checkpointing moved the headline cycle count"
+        );
 
-            let mut twin = gsm_system(queue, calendar);
-            twin.restore(&snap).expect("restore onto identical twin");
-            let twin_rest = run_to_completion(&mut twin);
-            assert!(twin_rest.all_ok(), "{label}: {}", twin_rest.summary());
-            assert_eq!(
-                fingerprint(&twin_rest),
-                fingerprint(&cont_rest),
-                "{label}: restored run diverged from the continuous one"
-            );
-        }
+        let mut twin = gsm_system(calendar);
+        twin.restore(&snap).expect("restore onto identical twin");
+        let twin_rest = run_to_completion(&mut twin);
+        assert!(twin_rest.all_ok(), "{label}: {}", twin_rest.summary());
+        assert_eq!(
+            fingerprint(&twin_rest),
+            fingerprint(&cont_rest),
+            "{label}: restored run diverged from the continuous one"
+        );
     }
 }
 
 #[test]
 fn snapshots_transfer_across_queue_and_calendar_twins() {
-    // A snapshot taken on a heap/calendar-on system restores onto a
-    // wheel/calendar-off twin (and completes with the identical
+    // A snapshot taken with the clock calendar on restores onto a
+    // queued-toggle twin (and completes with the identical
     // architectural outcome): the snapshot carries the schedule, the
-    // target chooses the substrate.
+    // target chooses where the clock toggles wait.
     const SPLIT: u64 = 150_000;
-    let mut src = gsm_system(QueueKind::Heap, true);
+    let mut src = gsm_system(true);
     src.run_until(&StopCondition::cycles(SPLIT));
     let snap = src.checkpoint();
     let src_rest = run_to_completion(&mut src);
     assert!(src_rest.all_ok(), "{}", src_rest.summary());
 
-    let mut twin = gsm_system(QueueKind::Wheel, false);
+    let mut twin = gsm_system(false);
     twin.restore(&snap).expect("cross-twin restore");
     let twin_rest = run_to_completion(&mut twin);
     assert!(twin_rest.all_ok(), "{}", twin_rest.summary());
@@ -142,7 +137,7 @@ fn periodic_checkpointing_supports_crash_safe_resume() {
     // Run with periodic checkpoints to completion; "crash" by discarding
     // the system, resume from the last retained checkpoint in a fresh
     // twin, and land on the same headline outcome.
-    let mut sys = gsm_system(QueueKind::Heap, true);
+    let mut sys = gsm_system(true);
     let report = sys.run_until(&StopCondition::checkpoint_every(100_000));
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.sim_cycles, HEADLINE_CYCLES);
@@ -150,7 +145,7 @@ fn periodic_checkpointing_supports_crash_safe_resume() {
     assert_eq!(at, 400_000, "last checkpoint before completion");
     drop(sys); // the crash
 
-    let mut resumed = gsm_system(QueueKind::Heap, true);
+    let mut resumed = gsm_system(true);
     resumed.restore(&snap).expect("resume from periodic checkpoint");
     let rest = run_to_completion(&mut resumed);
     assert!(rest.all_ok(), "{}", rest.summary());
@@ -161,7 +156,7 @@ fn periodic_checkpointing_supports_crash_safe_resume() {
 fn checkpoint_roundtrips_through_disk_bytes() {
     // The same save -> load -> restore path the CI round-trip job
     // drives, including the typed-error surface on a topology mismatch.
-    let mut sys = gsm_system(QueueKind::Heap, true);
+    let mut sys = gsm_system(true);
     sys.run_until(&StopCondition::cycles(50_000));
     let snap = sys.checkpoint();
 
@@ -172,7 +167,7 @@ fn checkpoint_roundtrips_through_disk_bytes() {
     let loaded = dmi_system::Snapshot::load(&path).expect("load checkpoint");
     std::fs::remove_file(&path).ok();
 
-    let mut twin = gsm_system(QueueKind::Heap, true);
+    let mut twin = gsm_system(true);
     twin.restore(&loaded).expect("restore from disk image");
     let cont_rest = run_to_completion(&mut sys);
     let twin_rest = run_to_completion(&mut twin);

@@ -1,10 +1,10 @@
 //! End-to-end co-simulation tests: CPUs, bus, and memory modules running
 //! real workload programs cycle by cycle.
 
-use dmi_core::{SimHeapConfig, StaticMemConfig, WrapperConfig};
 use dmi_interconnect::CrossbarConfig;
+use dmi_isa::Program;
 use dmi_sw::{workloads, WorkloadCfg};
-use dmi_system::{mem_base, InterconnectKind, McSystem, MemModelKind, SystemConfig};
+use dmi_system::{mem_base, CpuSpec, InterconnectKind, McSystem, MemSpec, SystemBuilder};
 
 fn wcfg(iterations: u32) -> WorkloadCfg {
     WorkloadCfg {
@@ -14,12 +14,30 @@ fn wcfg(iterations: u32) -> WorkloadCfg {
     }
 }
 
+/// One CPU per program and the given memories on `b`'s interconnect.
+fn build_on(mut b: SystemBuilder, programs: Vec<Program>, mems: Vec<MemSpec>) -> McSystem {
+    for program in programs {
+        b.add_cpu(CpuSpec::new(program));
+    }
+    for mem in mems {
+        b.add_memory(mem);
+    }
+    b.build().expect("valid system")
+}
+
+/// One CPU per program and the given memories on a shared bus.
+fn build(programs: Vec<Program>, mems: Vec<MemSpec>) -> McSystem {
+    build_on(SystemBuilder::new(), programs, mems)
+}
+
+/// One CPU per program, sharing one wrapper memory.
+fn build_wrapper(programs: Vec<Program>) -> McSystem {
+    build(programs, vec![MemSpec::wrapper(mem_base(0))])
+}
+
 #[test]
 fn single_cpu_alloc_churn_cycle_true() {
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::alloc_churn(&wcfg(10))],
-        ..SystemConfig::default()
-    });
+    let mut sys = build_wrapper(vec![workloads::alloc_churn(&wcfg(10))]);
     let report = sys.run(10_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.mems[0].backend.allocs, 10);
@@ -32,10 +50,7 @@ fn single_cpu_alloc_churn_cycle_true() {
 #[test]
 fn cycle_counts_are_reproducible() {
     let run = || {
-        let mut sys = McSystem::build(SystemConfig {
-            programs: vec![workloads::alloc_churn(&wcfg(5))],
-            ..SystemConfig::default()
-        });
+        let mut sys = build_wrapper(vec![workloads::alloc_churn(&wcfg(5))]);
         let r = sys.run(10_000_000);
         assert!(r.all_ok());
         r.sim_cycles
@@ -46,13 +61,10 @@ fn cycle_counts_are_reproducible() {
 #[test]
 fn producer_consumer_across_the_bus() {
     let cfg = wcfg(12);
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![
-            workloads::pipe_producer(&cfg),
-            workloads::pipe_consumer(&cfg),
-        ],
-        ..SystemConfig::default()
-    });
+    let mut sys = build_wrapper(vec![
+        workloads::pipe_producer(&cfg),
+        workloads::pipe_consumer(&cfg),
+    ]);
     let report = sys.run(50_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     // Both CPUs contended on the single bus.
@@ -62,14 +74,11 @@ fn producer_consumer_across_the_bus() {
 #[test]
 fn reservation_discipline_under_real_contention() {
     let cfg = wcfg(20);
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![
-            workloads::reserved_counter(&cfg, true),
-            workloads::reserved_counter(&cfg, false),
-            workloads::reserved_counter(&cfg, false),
-        ],
-        ..SystemConfig::default()
-    });
+    let mut sys = build_wrapper(vec![
+        workloads::reserved_counter(&cfg, true),
+        workloads::reserved_counter(&cfg, false),
+        workloads::reserved_counter(&cfg, false),
+    ]);
     let report = sys.run(200_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     // Final counter value must be 3 * 20 with no lost updates; verify via
@@ -96,11 +105,10 @@ fn four_cpus_four_memories_topology() {
             ..WorkloadCfg::default()
         }));
     }
-    let mut sys = McSystem::build(SystemConfig {
+    let mut sys = build(
         programs,
-        memories: vec![MemModelKind::Wrapper(WrapperConfig::default()); 4],
-        ..SystemConfig::default()
-    });
+        (0..4).map(|i| MemSpec::wrapper(mem_base(i))).collect(),
+    );
     assert_eq!(sys.cpu_count(), 4);
     assert_eq!(sys.mem_count(), 4);
     let report = sys.run(50_000_000);
@@ -112,11 +120,10 @@ fn four_cpus_four_memories_topology() {
 
 #[test]
 fn simheap_memory_runs_same_workload() {
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::alloc_churn(&wcfg(8))],
-        memories: vec![MemModelKind::SimHeap(SimHeapConfig::default())],
-        ..SystemConfig::default()
-    });
+    let mut sys = build(
+        vec![workloads::alloc_churn(&wcfg(8))],
+        vec![MemSpec::simheap(mem_base(0))],
+    );
     let report = sys.run(50_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.mems[0].kind, "simheap");
@@ -125,11 +132,10 @@ fn simheap_memory_runs_same_workload() {
 
 #[test]
 fn static_memory_serves_raw_traffic() {
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::scalar_rw_static(&wcfg(32))],
-        memories: vec![MemModelKind::Static(StaticMemConfig::default())],
-        ..SystemConfig::default()
-    });
+    let mut sys = build(
+        vec![workloads::scalar_rw_static(&wcfg(32))],
+        vec![MemSpec::static_table(mem_base(0))],
+    );
     let report = sys.run(10_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.mems[0].kind, "static");
@@ -148,19 +154,18 @@ fn crossbar_and_bus_give_same_results() {
         iterations: 8,
         ..WorkloadCfg::default()
     };
-    let build = |ic: InterconnectKind| {
-        McSystem::build(SystemConfig {
-            programs: vec![workloads::alloc_churn(&cfg0), workloads::alloc_churn(&cfg1)],
-            memories: vec![MemModelKind::Wrapper(WrapperConfig::default()); 2],
-            interconnect: ic,
-            ..SystemConfig::default()
-        })
+    let system_on = |ic: InterconnectKind| {
+        build_on(
+            SystemBuilder::new().interconnect(ic),
+            vec![workloads::alloc_churn(&cfg0), workloads::alloc_churn(&cfg1)],
+            vec![MemSpec::wrapper(mem_base(0)), MemSpec::wrapper(mem_base(1))],
+        )
     };
-    let mut bus_sys = build(InterconnectKind::SharedBus(Default::default()));
+    let mut bus_sys = system_on(InterconnectKind::SharedBus(Default::default()));
     let bus_report = bus_sys.run(50_000_000);
     assert!(bus_report.all_ok());
 
-    let mut xbar_sys = build(InterconnectKind::Crossbar(CrossbarConfig::default()));
+    let mut xbar_sys = system_on(InterconnectKind::Crossbar(CrossbarConfig::default()));
     let xbar_report = xbar_sys.run(50_000_000);
     assert!(xbar_report.all_ok());
 
@@ -175,15 +180,12 @@ fn crossbar_and_bus_give_same_results() {
 
 #[test]
 fn burst_workload_cycle_true() {
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::burst_copy(&WorkloadCfg {
-            mem_base: mem_base(0),
-            iterations: 4,
-            burst_len: 16,
-            ..WorkloadCfg::default()
-        })],
-        ..SystemConfig::default()
-    });
+    let mut sys = build_wrapper(vec![workloads::burst_copy(&WorkloadCfg {
+        mem_base: mem_base(0),
+        iterations: 4,
+        burst_len: 16,
+        ..WorkloadCfg::default()
+    })]);
     let report = sys.run(20_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.mems[0].backend.burst_beats, 4 * 16 * 2);
@@ -191,10 +193,7 @@ fn burst_workload_cycle_true() {
 
 #[test]
 fn linked_list_cycle_true() {
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::linked_list(&wcfg(16))],
-        ..SystemConfig::default()
-    });
+    let mut sys = build_wrapper(vec![workloads::linked_list(&wcfg(16))]);
     let report = sys.run(50_000_000);
     assert!(report.all_ok(), "{}", report.summary());
 }

@@ -11,7 +11,7 @@ use dmi_gsm::pipeline::{self, PipelineCfg};
 use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind, RetryPolicy};
 use dmi_system::{
     mem_base, CpuSpec, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTrigger, McSystem, MemSpec,
-    QueueKind, RunReport, StopCause, StopCondition, SystemBuilder,
+    RunReport, StopCause, StopCondition, SystemBuilder,
 };
 
 /// The headline experiment's pinned cycle count (GSM pipeline, 2
@@ -20,15 +20,15 @@ use dmi_system::{
 /// measured against.
 const HEADLINE_CYCLES: u64 = 436_964;
 
-/// Builds and runs the headline GSM configuration with explicit kernel
-/// knobs and an optional fault plan.
-fn gsm_run(queue: QueueKind, calendar: bool, plan: Option<FaultPlan>, enabled: bool) -> RunReport {
+/// Builds and runs the headline GSM configuration with the clock
+/// calendar pinned on or off and an optional fault plan.
+fn gsm_run(calendar: bool, plan: Option<FaultPlan>, enabled: bool) -> RunReport {
     let cfg = PipelineCfg {
         n_frames: 2,
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
-    let mut b = SystemBuilder::new().queue(queue).clock_calendar(calendar);
+    let mut b = SystemBuilder::new().clock_calendar(calendar);
     if let Some(p) = plan {
         b = b.faults(p).fault_injection(enabled);
     }
@@ -45,20 +45,18 @@ fn gsm_run(queue: QueueKind, calendar: bool, plan: Option<FaultPlan>, enabled: b
 #[test]
 fn empty_plan_is_cycle_bit_identical_across_kernel_configs() {
     // The tentpole discipline: compiling the fault hooks in and wiring
-    // an *empty* plan must not move a single cycle, under either event
-    // queue and with the clock calendar on or off.
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        for calendar in [true, false] {
-            let base = gsm_run(queue, calendar, None, true);
-            let twin = gsm_run(queue, calendar, Some(FaultPlan::new(0xF00D)), true);
-            assert_eq!(
-                base.sim_cycles, twin.sim_cycles,
-                "empty plan moved cycles under {queue:?}/calendar={calendar}"
-            );
-            assert_eq!(base.sim_cycles, HEADLINE_CYCLES);
-            assert!(!twin.faults.any(), "empty plan injected something");
-            assert_eq!(base.kernel.events, twin.kernel.events);
-        }
+    // an *empty* plan must not move a single cycle, with the clock
+    // calendar on or off.
+    for calendar in [true, false] {
+        let base = gsm_run(calendar, None, true);
+        let twin = gsm_run(calendar, Some(FaultPlan::new(0xF00D)), true);
+        assert_eq!(
+            base.sim_cycles, twin.sim_cycles,
+            "empty plan moved cycles under calendar={calendar}"
+        );
+        assert_eq!(base.sim_cycles, HEADLINE_CYCLES);
+        assert!(!twin.faults.any(), "empty plan injected something");
+        assert_eq!(base.kernel.events, twin.kernel.events);
     }
 }
 
@@ -75,15 +73,15 @@ fn disabled_controller_with_nonempty_plan_is_inert() {
         FaultTrigger::Every { first: 1, period: 1 },
         FaultKind::Status(Status::Busy),
     ));
-    let twin = gsm_run(QueueKind::Heap, true, Some(plan), false);
+    let twin = gsm_run(true, Some(plan), false);
     assert_eq!(twin.sim_cycles, HEADLINE_CYCLES);
     assert!(!twin.faults.any());
 }
 
 /// A lossy-slave DMA scenario: one burst fill engine with a retry
 /// policy against one wrapper memory carrying the given plan.
-fn lossy_dma_sys(queue: QueueKind, plan: FaultPlan) -> McSystem {
-    let mut b = SystemBuilder::new().queue(queue).faults(plan).fault_injection(true);
+fn lossy_dma_sys(plan: FaultPlan) -> McSystem {
+    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0xC0DE },
@@ -144,11 +142,10 @@ fn lossy_plan() -> FaultPlan {
 #[test]
 fn seeded_fault_scenario_replays_bit_identically() {
     // Same plan + seed => same cycles and the same FaultStats, run after
-    // run and across event-queue kinds (the scheduling substrate must
-    // not leak into the fault schedule).
+    // run.
     let mut reports = Vec::new();
-    for queue in [QueueKind::Heap, QueueKind::Heap, QueueKind::Wheel] {
-        let mut sys = lossy_dma_sys(queue, lossy_plan());
+    for _ in 0..3 {
+        let mut sys = lossy_dma_sys(lossy_plan());
         let r = sys.run(10_000_000);
         assert!(r.all_ok(), "{}", r.summary());
         reports.push(r);

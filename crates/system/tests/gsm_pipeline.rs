@@ -2,9 +2,9 @@
 //! on 4 co-simulated ISSs exchanging frames through dynamic shared memory.
 //! The pipeline's checksum must match the reference encoder bit-exactly.
 
-use dmi_core::{WrapperBackend, WrapperConfig};
+use dmi_core::WrapperBackend;
 use dmi_gsm::pipeline::{self, PipelineCfg, RESULT_MAGIC};
-use dmi_system::{mem_base, McSystem, MemModelKind, SystemConfig};
+use dmi_system::{mem_base, CpuSpec, MemSpec, SystemBuilder};
 
 fn run_pipeline(n_frames: u32, n_mems: usize, seed: u32) -> (pipeline::PipelineResult, u64) {
     let cfg = PipelineCfg {
@@ -12,11 +12,14 @@ fn run_pipeline(n_frames: u32, n_mems: usize, seed: u32) -> (pipeline::PipelineR
         mem_bases: (0..n_mems).map(mem_base).collect(),
         seed,
     };
-    let mut sys = McSystem::build(SystemConfig {
-        programs: pipeline::stage_programs(&cfg),
-        memories: vec![MemModelKind::Wrapper(WrapperConfig::default()); n_mems],
-        ..SystemConfig::default()
-    });
+    let mut b = SystemBuilder::new();
+    for program in pipeline::stage_programs(&cfg) {
+        b.add_cpu(CpuSpec::new(program));
+    }
+    for &base in &cfg.mem_bases {
+        b.add_memory(MemSpec::wrapper(base));
+    }
+    let mut sys = b.build().expect("gsm pipeline system");
     let report = sys.run(2_000_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     let module = sys.memory(0).expect("module 0");
@@ -90,11 +93,11 @@ fn headline_toggle_fast_path_coverage_is_total() {
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
-    let mut b = dmi_system::SystemBuilder::new().clock_calendar(true);
+    let mut b = SystemBuilder::new().clock_calendar(true);
     for program in pipeline::stage_programs(&cfg) {
-        b.add_cpu(dmi_system::CpuSpec::new(program));
+        b.add_cpu(CpuSpec::new(program));
     }
-    b.add_memory(dmi_system::MemSpec::wrapper(mem_base(0)));
+    b.add_memory(MemSpec::wrapper(mem_base(0)));
     let mut sys = b.build().expect("gsm pipeline system");
     sys.simulator_mut().set_clock_specialization(true);
     let report = sys.run(u64::MAX / 4);

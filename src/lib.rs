@@ -18,24 +18,26 @@
 //! | [`masters`] | `dmi-masters` | non-CPU bus masters (DMA / traffic generators) |
 //! | [`system`] | `dmi-system` | system builder, run control, reports, experiments |
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the architecture and
-//! `EXPERIMENTS.md` for the reproduced evaluation.
+//! The `README.md` files of the kernel, ISS, system, analyzer and farm
+//! crates (under `crates/`) describe their layers; `ROADMAP.md` at the
+//! repository root records the measured state of the stack and the open
+//! work.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use dmi_sim::sw::{workloads, WorkloadCfg};
-//! use dmi_sim::system::{mem_base, McSystem, SystemConfig};
+//! use dmi_sim::system::{mem_base, CpuSpec, MemSpec, SystemBuilder};
 //!
 //! let cfg = WorkloadCfg {
 //!     mem_base: mem_base(0),
 //!     iterations: 8,
 //!     ..WorkloadCfg::default()
 //! };
-//! let mut system = McSystem::build(SystemConfig {
-//!     programs: vec![workloads::alloc_churn(&cfg)],
-//!     ..SystemConfig::default()
-//! });
+//! let mut b = SystemBuilder::new();
+//! b.add_cpu(CpuSpec::new(workloads::alloc_churn(&cfg)));
+//! b.add_memory(MemSpec::wrapper(mem_base(0)));
+//! let mut system = b.build().expect("valid system");
 //! let report = system.run(1_000_000);
 //! assert!(report.all_ok());
 //! println!("{}", report.summary());

@@ -2,9 +2,23 @@
 //! ISS → bus → wrapper, model interchangeability, and tracing.
 
 use dmi_sim::core::{SimHeapConfig, WrapperConfig};
-use dmi_sim::isa::assemble_text;
+use dmi_sim::isa::{assemble_text, Program};
 use dmi_sim::sw::{workloads, WorkloadCfg};
-use dmi_sim::system::{mem_base, McSystem, MemModelKind, SystemConfig};
+use dmi_sim::system::{mem_base, CpuSpec, McSystem, MemModelKind, MemSpec, SystemBuilder};
+
+/// One CPU per program, sharing one memory of the given model.
+fn build(programs: Vec<Program>, model: MemModelKind) -> McSystem {
+    let mut b = SystemBuilder::new();
+    for program in programs {
+        b.add_cpu(CpuSpec::new(program));
+    }
+    b.add_memory(MemSpec::new(model, mem_base(0)));
+    b.build().expect("valid system")
+}
+
+fn wrapper() -> MemModelKind {
+    MemModelKind::Wrapper(WrapperConfig::default())
+}
 
 /// A program written in assembly *text* drives the DSM protocol directly —
 /// the whole toolchain in one test.
@@ -55,10 +69,7 @@ fn text_assembled_program_uses_the_wrapper() {
         mem_base(0)
     );
     let prog = assemble_text(&src, 0).expect("assembles");
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![prog],
-        ..SystemConfig::default()
-    });
+    let mut sys = build(vec![prog], wrapper());
     let report = sys.run(1_000_000);
     assert!(report.all_ok(), "{}", report.summary());
     assert_eq!(report.mems[0].backend.allocs, 1);
@@ -78,11 +89,7 @@ fn workloads_are_model_portable() {
         MemModelKind::Wrapper(WrapperConfig::default()),
         MemModelKind::SimHeap(SimHeapConfig::default()),
     ] {
-        let mut sys = McSystem::build(SystemConfig {
-            programs: vec![prog.clone()],
-            memories: vec![kind],
-            ..SystemConfig::default()
-        });
+        let mut sys = build(vec![prog.clone()], kind);
         let report = sys.run(100_000_000);
         assert!(report.all_ok(), "{:?}: {}", kind.name(), report.summary());
     }
@@ -98,10 +105,7 @@ fn full_stack_determinism_with_tracing() {
             iterations: 5,
             ..WorkloadCfg::default()
         };
-        let mut sys = McSystem::build(SystemConfig {
-            programs: vec![workloads::alloc_churn(&wl); 2],
-            ..SystemConfig::default()
-        });
+        let mut sys = build(vec![workloads::alloc_churn(&wl); 2], wrapper());
         sys.simulator_mut()
             .trace_matching(|n| n.starts_with("mem0.s"));
         let report = sys.run(100_000_000);
@@ -130,27 +134,17 @@ fn finite_memory_denial_reaches_software() {
     };
     // Capacity for only one live allocation; churn frees each time, so it
     // still succeeds.
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::alloc_churn(&wl)],
-        memories: vec![MemModelKind::Wrapper(WrapperConfig {
-            capacity: 1024,
-            ..WrapperConfig::default()
-        })],
-        ..SystemConfig::default()
+    let finite = MemModelKind::Wrapper(WrapperConfig {
+        capacity: 1024,
+        ..WrapperConfig::default()
     });
+    let mut sys = build(vec![workloads::alloc_churn(&wl)], finite);
     let report = sys.run(100_000_000);
     assert!(report.all_ok(), "{}", report.summary());
 
     // Two concurrent churners cannot both hold 800 bytes: one gets denied
     // at some point and exits through the fail path (exit code 1).
-    let mut sys = McSystem::build(SystemConfig {
-        programs: vec![workloads::alloc_churn(&wl); 2],
-        memories: vec![MemModelKind::Wrapper(WrapperConfig {
-            capacity: 1024,
-            ..WrapperConfig::default()
-        })],
-        ..SystemConfig::default()
-    });
+    let mut sys = build(vec![workloads::alloc_churn(&wl); 2], finite);
     let report = sys.run(200_000_000);
     assert!(report.finished, "{}", report.summary());
     let denied = report.mems[0].backend.denials;
