@@ -265,7 +265,7 @@ fn clock_periods(g: &SystemGraph, out: &mut Vec<Diagnostic>) {
                         "co-prime half-periods: edges never coincide \
                          (hyperperiod {hyper} ticks)"
                     ),
-                    "keep the clock calendar enabled for this system",
+                    "keep the kernel fast path (the default) on for this system",
                 ));
             }
         }

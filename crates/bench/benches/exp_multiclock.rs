@@ -8,22 +8,24 @@
 //! half-period, forever — while the calendar serves every toggle from a
 //! slot min-scan.
 //!
-//! Each configuration is measured twice: `calendar` (the default) and
-//! `queue` (`set_clock_calendar(false)`, the reference path), on the
-//! same simulated tick budget. The two modes are asserted
-//! simulation-bit-identical (`KernelStats`) before measurement.
+//! Each configuration is measured twice: `fast` (the default: calendar,
+//! quiet toggles, batched dispatch) and `reference`
+//! (`set_clock_specialization(false)`: queued toggles, full commit scan,
+//! one `Ctx` per wake), on the same simulated tick budget. The two
+//! paths are asserted simulation-bit-identical (`KernelStats`) before
+//! measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmi_bench::scenarios::multiclock_sim;
 use dmi_kernel::KernelStats;
 
-fn run(n_domains: usize, calendar: bool, ticks: u64) -> KernelStats {
+fn run(n_domains: usize, specialize: bool, ticks: u64) -> KernelStats {
     let mut sim = multiclock_sim(n_domains);
     // Moves the toggles armed at build time to the chosen path, with
     // their original keys.
-    sim.set_clock_calendar(calendar);
+    sim.set_clock_specialization(specialize);
     sim.run_for(ticks);
-    if calendar {
+    if specialize {
         let fast = sim.fast_path_stats();
         assert_eq!(fast.calendar_toggles, fast.clock_toggles);
     }
@@ -35,16 +37,17 @@ fn multiclock(c: &mut Criterion) {
     let mut g = c.benchmark_group("exp_multiclock");
     g.sample_size(10);
     for n in [2usize, 4, 8] {
-        // Bit-identity guard: calendar on vs off must execute the same
-        // simulation before we compare their wall clocks.
+        // Bit-identity guard: the fast and the reference path must
+        // execute the same simulation before we compare their wall
+        // clocks.
         assert_eq!(
             run(n, true, TICKS),
             run(n, false, TICKS),
-            "calendar A/B diverged at {n} clocks"
+            "fast/reference A/B diverged at {n} clocks"
         );
-        for (label, calendar) in [("calendar", true), ("queue", false)] {
+        for (label, specialize) in [("fast", true), ("reference", false)] {
             g.bench_with_input(BenchmarkId::new(label, format!("{n}clk")), &n, |b, &n| {
-                b.iter(|| run(n, calendar, TICKS).events);
+                b.iter(|| run(n, specialize, TICKS).events);
             });
         }
     }

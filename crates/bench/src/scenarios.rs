@@ -248,7 +248,7 @@ pub fn lossy_dma() -> SystemBuilder {
         },
         FaultKind::Status(dmi_core::Status::Busy),
     ));
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0xC0DE },

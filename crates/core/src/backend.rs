@@ -263,7 +263,9 @@ pub trait DsmBackend: std::fmt::Debug {
     }
 }
 
-/// Serializes a [`MemStats`] for a backend's snapshot payload.
+/// Serializes a [`MemStats`] for a backend's snapshot payload. The TLB
+/// counters describe a host-side cache, not the simulation, and are left
+/// out.
 pub(crate) fn write_mem_stats(w: &mut StateWriter, s: &MemStats) {
     w.put_u64(s.allocs);
     w.put_u64(s.frees);
@@ -273,14 +275,13 @@ pub(crate) fn write_mem_stats(w: &mut StateWriter, s: &MemStats) {
     w.put_u64(s.errors);
     w.put_u64(s.denials);
     w.put_u64(s.busy_cycles);
-    w.put_u64(s.tlb_hits);
-    w.put_u64(s.tlb_misses);
     w.put_u64(s.host.allocs);
     w.put_u64(s.host.frees);
     w.put_u64(s.host.bytes_allocated);
 }
 
-/// Reads back a [`MemStats`] written by [`write_mem_stats`].
+/// Reads back a [`MemStats`] written by [`write_mem_stats`], with the TLB
+/// counters at zero.
 pub(crate) fn read_mem_stats(r: &mut StateReader<'_>) -> Result<MemStats, SnapshotError> {
     Ok(MemStats {
         allocs: r.get_u64("mem stats.allocs")?,
@@ -291,8 +292,8 @@ pub(crate) fn read_mem_stats(r: &mut StateReader<'_>) -> Result<MemStats, Snapsh
         errors: r.get_u64("mem stats.errors")?,
         denials: r.get_u64("mem stats.denials")?,
         busy_cycles: r.get_u64("mem stats.busy_cycles")?,
-        tlb_hits: r.get_u64("mem stats.tlb_hits")?,
-        tlb_misses: r.get_u64("mem stats.tlb_misses")?,
+        tlb_hits: 0,
+        tlb_misses: 0,
         host: HostStats {
             allocs: r.get_u64("mem stats.host.allocs")?,
             frees: r.get_u64("mem stats.host.frees")?,

@@ -8,9 +8,8 @@
 //! configuration, so injection is **replay-exact**: triggers count
 //! protocol accesses and draw from a seeded [splitmix64] stream — never
 //! wall-clock, never host state. The same plan + seed produces the same
-//! faults with the clock calendar on or off, because the access order
-//! those hooks observe is itself bit-identical across calendar
-//! placements.
+//! faults on the kernel's fast and reference paths, because the access
+//! order those hooks observe is itself bit-identical across them.
 //!
 //! An **empty plan is inert by construction**: every hook returns the
 //! "no fault" action without touching a trigger counter, so a system
@@ -18,10 +17,9 @@
 //! built with no plan at all (pinned by the system-level differential
 //! tests).
 //!
-//! Like the other fast-path twins, injection is runtime-toggleable: the
-//! `DMI_FAULTS` environment variable (`0`/`off` disables) provides the
-//! default, and `SystemBuilder::fault_injection(bool)` pins it
-//! per-system.
+//! Injection starts enabled and is runtime-toggleable per controller
+//! ([`FaultController::set_enabled`]; `McSystem::set_fault_injection`
+//! at the system level).
 //!
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 
@@ -29,17 +27,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::protocol::{Opcode, Status};
-
-/// Reads the `DMI_FAULTS` toggle from the environment; defaults to
-/// enabled. Set `DMI_FAULTS=0` (or `off`) to neutralise every installed
-/// fault hook without rebuilding the system — the reference twin for
-/// differential runs.
-pub fn faults_enabled_default() -> bool {
-    match std::env::var("DMI_FAULTS") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
-    }
-}
 
 /// Where a fault is injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,8 +320,7 @@ pub struct FaultController {
 pub type FaultHook = Rc<RefCell<FaultController>>;
 
 impl FaultController {
-    /// Compiles a plan. Enablement defaults to
-    /// [`faults_enabled_default`] (the `DMI_FAULTS` toggle).
+    /// Compiles a plan, with injection enabled.
     pub fn new(plan: FaultPlan) -> Self {
         let seed = plan.seed;
         let specs = plan
@@ -356,7 +342,7 @@ impl FaultController {
             .collect::<Vec<_>>();
         let n = specs.len();
         FaultController {
-            enabled: faults_enabled_default(),
+            enabled: true,
             specs,
             stats: FaultStats {
                 per_spec: vec![0; n],
@@ -365,7 +351,7 @@ impl FaultController {
         }
     }
 
-    /// Pins enablement, overriding the environment default.
+    /// Switches injection on or off; trigger state is kept.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
@@ -393,8 +379,8 @@ impl FaultController {
     /// Serializes the per-spec stream positions (match/fire counts and
     /// the raw splitmix64 state — the *position* in each spec's random
     /// stream) plus the injection counters. The `enabled` flag is a
-    /// runtime twin toggle like the clock calendar and is *not*
-    /// serialized; restore keeps the target's setting.
+    /// runtime toggle and is *not* serialized; restore keeps the
+    /// target's setting.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         w.put_u32(self.specs.len() as u32);
         for s in &self.specs {
@@ -579,12 +565,6 @@ impl FaultController {
 mod tests {
     use super::*;
 
-    fn ctl(plan: FaultPlan) -> FaultController {
-        let mut c = FaultController::new(plan);
-        c.set_enabled(true);
-        c
-    }
-
     fn op_site(mem: usize) -> FaultSite {
         FaultSite::MemOp {
             mem,
@@ -595,7 +575,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_inert() {
-        let mut c = ctl(FaultPlan::default());
+        let mut c = FaultController::new(FaultPlan::default());
         for _ in 0..100 {
             assert_eq!(c.mem_op(0, Opcode::Alloc, 0), MemOpFault::default());
             assert_eq!(c.mem_beat(0, 0, true), MemBeatFault::default());
@@ -624,7 +604,7 @@ mod tests {
             FaultTrigger::Nth(3),
             FaultKind::Status(Status::OutOfMemory),
         ));
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         let fires: Vec<bool> = (0..6)
             .map(|_| c.mem_op(0, Opcode::Alloc, 0).force_status.is_some())
             .collect();
@@ -644,7 +624,7 @@ mod tests {
             )
             .limit(2),
         );
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         let fires: Vec<bool> = (0..9)
             .map(|_| c.mem_op(0, Opcode::Write, 0).flip_mask != 0)
             .collect();
@@ -667,7 +647,7 @@ mod tests {
             FaultTrigger::Nth(1),
             FaultKind::Status(Status::Locked),
         ));
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         assert!(c.mem_op(0, Opcode::Alloc, 2).force_status.is_none());
         assert!(c.mem_op(1, Opcode::Write, 2).force_status.is_none());
         assert!(c.mem_op(1, Opcode::Alloc, 3).force_status.is_none());
@@ -689,7 +669,7 @@ mod tests {
             FaultTrigger::Every { first: 1, period: 1 },
             FaultKind::FlipData { mask: 1 },
         ));
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         assert_eq!(c.mem_beat(0, 0, true).flip_mask, 0);
         assert_eq!(c.mem_beat(0, 0, false).flip_mask, 1);
         assert_eq!(c.stats().mem_beats, 1);
@@ -708,8 +688,8 @@ mod tests {
             },
             FaultKind::AbortBurst,
         ));
-        let mut a = ctl(plan.clone());
-        let mut b = ctl(plan);
+        let mut a = FaultController::new(plan.clone());
+        let mut b = FaultController::new(plan);
         let seq_a: Vec<bool> = (0..256).map(|_| a.mem_beat(0, 0, true).abort).collect();
         let seq_b: Vec<bool> = (0..256).map(|_| b.mem_beat(0, 0, true).abort).collect();
         assert_eq!(seq_a, seq_b);
@@ -726,7 +706,7 @@ mod tests {
             FaultTrigger::Every { first: 1, period: 1 },
             FaultKind::DecodeError,
         ));
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         assert_eq!(c.mem_op(0, Opcode::Alloc, 0), MemOpFault::default());
         assert_eq!(c.stats().injected, 0);
     }
@@ -744,7 +724,7 @@ mod tests {
                 FaultTrigger::Nth(1),
                 FaultKind::GrantStall { cycles: 7 },
             ));
-        let mut c = ctl(plan);
+        let mut c = FaultController::new(plan);
         let f = c.bus_access(0);
         assert_eq!(f.stall_cycles, 7);
         assert_eq!(c.stats().bus_accesses, 2);

@@ -67,8 +67,8 @@ mod wrapper;
 pub use backend::{BeatResult, BlockResult, BurstInfo, DsmBackend, MemStats};
 pub use delay::{DelayModel, LinDelay};
 pub use faults::{
-    faults_enabled_default, BusFault, FaultController, FaultHook, FaultKind, FaultPlan, FaultSite,
-    FaultSpec, FaultStats, FaultTrigger, MemBeatFault, MemOpFault,
+    BusFault, FaultController, FaultHook, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats,
+    FaultTrigger, MemBeatFault, MemOpFault,
 };
 pub use host::{HostAlloc, HostStats};
 pub use module::{MemoryModule, ModuleStats, SlavePorts};

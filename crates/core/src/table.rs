@@ -26,7 +26,8 @@
 //!
 //! Every simulated memory access funnels through [`PointerTable::resolve`],
 //! so its cost bounds the whole co-simulation's speed (the paper's
-//! `ticks_per_sec` metric). The table therefore fronts the binary search
+//! simulated cycles per host second, `RunReport::cycles_per_sec`). The
+//! table therefore fronts the binary search
 //! with a small TLB: a *last-hit slot* (covers repeated access to the same
 //! allocation, e.g. burst beats and loop bodies) plus a *direct-mapped
 //! cache* keyed by vptr page ([`TLB_PAGE_BITS`]-sized pages) that turns
@@ -656,8 +657,8 @@ impl PointerTable {
     /// Serializes the live allocations (including their host-side
     /// payload bytes), accounting state, and counters. The TLB and the
     /// gap index are validated caches and are *reconstructed* on load,
-    /// not serialized — so their hit/miss counters legitimately diverge
-    /// between a restored and a continuous run.
+    /// not serialized; neither are the TLB's hit, miss and invalidation
+    /// counters, so the bytes are the same with the TLB on or off.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -680,9 +681,6 @@ impl PointerTable {
         w.put_u64(self.stats.denials);
         w.put_u64(self.stats.lookups);
         w.put_u64(self.stats.arith_resolutions);
-        w.put_u64(self.stats.tlb_hits);
-        w.put_u64(self.stats.tlb_misses);
-        w.put_u64(self.stats.tlb_invalidations);
         w.put_u64(self.stats.compactions);
         w.put_u64(self.stats.peak_entries as u64);
         w.put_u64(self.host_stats.allocs);
@@ -691,8 +689,9 @@ impl PointerTable {
     }
 
     /// Restores state written by [`PointerTable::save_state`] onto a
-    /// table with the same configuration, rebuilding the TLB (cold) and
-    /// the gap index (exact complement of the restored entries).
+    /// table with the same configuration, rebuilding the TLB (cold, its
+    /// counters at zero) and the gap index (exact complement of the
+    /// restored entries).
     pub fn load_state(
         &mut self,
         r: &mut dmi_kernel::StateReader<'_>,
@@ -747,9 +746,9 @@ impl PointerTable {
         self.stats.denials = r.get_u64("table stats.denials")?;
         self.stats.lookups = r.get_u64("table stats.lookups")?;
         self.stats.arith_resolutions = r.get_u64("table stats.arith_resolutions")?;
-        self.stats.tlb_hits = r.get_u64("table stats.tlb_hits")?;
-        self.stats.tlb_misses = r.get_u64("table stats.tlb_misses")?;
-        self.stats.tlb_invalidations = r.get_u64("table stats.tlb_invalidations")?;
+        self.stats.tlb_hits = 0;
+        self.stats.tlb_misses = 0;
+        self.stats.tlb_invalidations = 0;
         self.stats.compactions = r.get_u64("table stats.compactions")?;
         self.stats.peak_entries = r.get_u64("table stats.peak_entries")? as usize;
         self.host_stats.allocs = r.get_u64("table host.allocs")?;

@@ -120,9 +120,11 @@ pub(crate) fn write_snapshot_atomic(path: &Path, snap: &Snapshot) -> std::io::Re
 }
 
 /// The deterministic identity of a finished leg: CRC-32 over the full
-/// architectural snapshot. Wall time and validated-cache contents never
-/// enter a snapshot, so this is bit-stable across cold, warm-started,
-/// and crash-resumed executions of the same scenario.
+/// architectural snapshot. Wall time, host-side caches and the counters
+/// of those caches and of the kernel's fast paths never enter a
+/// snapshot, so this is bit-stable across cold, warm-started and
+/// crash-resumed executions of the same scenario, on either kernel path
+/// and either ISS engine.
 pub fn leg_fingerprint(sys: &mut McSystem) -> u32 {
     crc32(&sys.checkpoint().to_bytes())
 }

@@ -30,7 +30,7 @@ fn dma_system_nth(mask: u32, nth: u64) -> McSystem {
         FaultTrigger::Nth(nth),
         FaultKind::FlipData { mask },
     ));
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0xC0DE },

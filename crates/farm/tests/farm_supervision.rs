@@ -373,37 +373,42 @@ fn streamed_catalog_runs_identically_to_a_materialized_one() {
 
 #[test]
 fn warm_start_reproduces_the_cold_fingerprint() {
-    let reg = registry();
-    let mut cold = Catalog::new();
-    cold.push(ScenarioSpec::new("s", "stream", 60_000));
-    let cold_fp = fingerprint_of(
-        &run_farm(&cold, Arc::clone(&reg), &FarmConfig::default())
-            .expect("cold run")
-            .legs[0]
-            .outcome,
-    );
-
-    let mut warm = Catalog::new();
-    // Three legs sharing one warm prefix; same budget, so all three and
-    // the cold reference must agree bit-for-bit.
-    for name in ["w1", "w2", "w3"] {
-        warm.push(ScenarioSpec::new(name, "stream", 60_000).warm(20_000));
-    }
-    let report = run_farm(
-        &warm,
-        reg,
-        &FarmConfig {
-            workers: 3,
-            ..FarmConfig::default()
-        },
-    )
-    .expect("warm run");
-    for leg in &report.legs {
-        assert_eq!(
-            fingerprint_of(&leg.outcome),
-            cold_fp,
-            "warm-started leg diverged: {}",
-            report.summary()
+    // `stream` halts at 13,144 cycles, before its warm point, so its legs
+    // never restore mid-run; `quick` restores its prefix at cycle 500
+    // with live pointer-table and decoded-instruction caches.
+    for (system, cycles, warm_at) in [("stream", 60_000, 20_000), ("quick", 200_000, 500)] {
+        let reg = registry();
+        let mut cold = Catalog::new();
+        cold.push(ScenarioSpec::new("cold", system, cycles));
+        let cold_fp = fingerprint_of(
+            &run_farm(&cold, Arc::clone(&reg), &FarmConfig::default())
+                .expect("cold run")
+                .legs[0]
+                .outcome,
         );
+
+        let mut warm = Catalog::new();
+        // Three legs sharing one warm prefix; same budget, so all three
+        // and the cold reference must agree bit-for-bit.
+        for name in ["w1", "w2", "w3"] {
+            warm.push(ScenarioSpec::new(name, system, cycles).warm(warm_at));
+        }
+        let report = run_farm(
+            &warm,
+            reg,
+            &FarmConfig {
+                workers: 3,
+                ..FarmConfig::default()
+            },
+        )
+        .expect("warm run");
+        for leg in &report.legs {
+            assert_eq!(
+                fingerprint_of(&leg.outcome),
+                cold_fp,
+                "{system}: warm-started leg diverged: {}",
+                report.summary()
+            );
+        }
     }
 }

@@ -591,11 +591,11 @@ impl CpuCore {
     /// Serializes the architectural and accounting state: registers,
     /// flags, private memory (including its write generations), halt
     /// state, cycle counter, console output, statistics and any sticky
-    /// fault. The decoded-instruction cache is *not* serialized — it is
-    /// a validated cache rebuilt lazily after restore, so
-    /// `icache_hits`/`icache_misses` legitimately diverge between a
-    /// restored and a continuous run while every architectural effect
-    /// stays bit-identical.
+    /// fault. The decoded-instruction cache and its
+    /// `icache_hits`/`icache_misses` counters are *not* serialized: the
+    /// cache is a validated host-side cache rebuilt lazily after
+    /// restore, so the bytes are the same on both dispatch engines and
+    /// every architectural effect stays bit-identical.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         for r in &self.regs {
             w.put_u32(*r);
@@ -617,8 +617,6 @@ impl CpuCore {
         w.put_u64(self.stats.branches);
         w.put_u64(self.stats.swis);
         w.put_u64(self.stats.cond_skipped);
-        w.put_u64(self.stats.icache_hits);
-        w.put_u64(self.stats.icache_misses);
         match &self.fault {
             None => w.put_bool(false),
             Some(f) => {
@@ -630,7 +628,7 @@ impl CpuCore {
 
     /// Restores state written by [`CpuCore::save_state`] onto a core
     /// with the same memory geometry, resetting the decoded-instruction
-    /// cache cold.
+    /// cache cold and its counters to zero.
     pub fn load_state(
         &mut self,
         r: &mut dmi_kernel::StateReader<'_>,
@@ -656,8 +654,8 @@ impl CpuCore {
         self.stats.branches = r.get_u64("cpu stats.branches")?;
         self.stats.swis = r.get_u64("cpu stats.swis")?;
         self.stats.cond_skipped = r.get_u64("cpu stats.cond_skipped")?;
-        self.stats.icache_hits = r.get_u64("cpu stats.icache_hits")?;
-        self.stats.icache_misses = r.get_u64("cpu stats.icache_misses")?;
+        self.stats.icache_hits = 0;
+        self.stats.icache_misses = 0;
         self.fault = if r.get_bool("cpu fault flag")? {
             Some(load_cpu_fault(r)?)
         } else {

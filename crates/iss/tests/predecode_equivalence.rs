@@ -304,7 +304,8 @@ fn store_to_cached_line_takes_effect_next_fetch() {
 }
 
 /// Dispatch counters: the cached path reports hits after the first pass
-/// over a loop; the reference path reports none.
+/// over a loop; the reference path reports none. The counters are not
+/// saved state: both engines save the same bytes.
 #[test]
 fn icache_counters_surface() {
     let mut a = Asm::new();
@@ -316,11 +317,21 @@ fn icache_counters_surface() {
     a.swi(0);
     let p = a.assemble(0).unwrap();
 
-    let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-    cpu.set_predecode(true);
-    cpu.load_program(&p);
-    assert_eq!(cpu.run(&mut dmi_iss::NoBus, 100_000), StepEvent::Halted);
-    let s = cpu.stats();
+    let run = |predecode: bool| {
+        let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
+        cpu.set_predecode(predecode);
+        cpu.load_program(&p);
+        assert_eq!(cpu.run(&mut dmi_iss::NoBus, 100_000), StepEvent::Halted);
+        cpu
+    };
+    let saved = |cpu: &CpuCore| {
+        let mut w = dmi_kernel::StateWriter::new();
+        cpu.save_state(&mut w);
+        w.into_bytes()
+    };
+
+    let cached = run(true);
+    let s = cached.stats();
     assert!(s.icache_hits > 100, "loop iterations must hit: {s:?}");
     assert!(
         s.icache_misses <= 8,
@@ -328,11 +339,13 @@ fn icache_counters_surface() {
     );
     assert!(s.icache_hit_rate() > 0.9);
 
-    let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-    cpu.set_predecode(false);
-    cpu.load_program(&p);
-    assert_eq!(cpu.run(&mut dmi_iss::NoBus, 100_000), StepEvent::Halted);
-    let s = cpu.stats();
+    let reference = run(false);
+    let s = reference.stats();
     assert_eq!((s.icache_hits, s.icache_misses), (0, 0));
     assert_eq!(s.icache_hit_rate(), 0.0);
+
+    assert!(
+        saved(&cached) == saved(&reference),
+        "the two engines save different state"
+    );
 }

@@ -25,11 +25,13 @@
 //! edge-subscriber summaries) skips the commit scan and wake pass
 //! entirely, and periodic clock toggles live in a per-clock *calendar*
 //! compared against the queue head by virtual sequence numbers, so they
-//! never enter the event queue at all (`DMI_CLOCK_CALENDAR=0` restores
-//! the queued reference path).
-//! Dispatch order is provably identical to the unspecialized reference
-//! paths, which stay available for differential testing
-//! (`DMI_KERNEL_SPECIALIZE=0`, like the ISS's `DMI_PREDECODE=0`). The
+//! never enter the event queue at all.
+//! Dispatch order is provably identical to the reference path, which
+//! stays available for differential testing behind one switch
+//! (`DMI_KERNEL_SPECIALIZE=0` or
+//! [`Simulator::set_clock_specialization`]`(false)`: queued clock
+//! toggles, the full commit scan, one `Ctx` per wake — like the ISS's
+//! `DMI_PREDECODE=0`). A snapshot does not record which path ran. The
 //! event queue is a binary heap (`EventQueue` in `event.rs`), the
 //! kernel's only queue.
 //!
@@ -79,13 +81,10 @@ mod trace;
 pub use component::{Component, ComponentId, Wake};
 pub use ctx::{Ctx, StopReason};
 pub use signal::{Change, Edge, SignalBoard, SignalId, Wire};
+pub use sim::{clock_specialization_default, QueueKind, RunLimit, RunSummary, Simulator};
 pub use snapshot::{
     crc32, frame_record, next_framed_record, FrameStream, FramedRecord, Snapshot, SnapshotError,
     StateReader, StateWriter, MAX_FRAME_LEN, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
-pub use sim::{
-    clock_calendar_default, clock_specialization_default, QueueKind, RunLimit, RunSummary,
-    Simulator,
 };
 pub use stats::{FastPathStats, KernelStats};
 pub use time::SimTime;

@@ -85,17 +85,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Simulated ticks per host second — the *simulation speed* metric the
-    /// paper's evaluation reports (higher is better).
-    pub fn ticks_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            f64::INFINITY
-        } else {
-            self.end_time.ticks() as f64 / secs
-        }
-    }
-
     /// Whether the run ended because a component signalled an error.
     pub fn is_error(&self) -> bool {
         self.stop.as_ref().is_some_and(StopReason::is_error)
@@ -110,8 +99,8 @@ struct ClockDef {
 
 /// One clock's pending toggle in the clock calendar: when it fires and
 /// the *virtual* sequence number it holds in the global scheduling
-/// order. `None` while the toggle is parked in the event queue instead
-/// (calendar disabled).
+/// order. `None` while the toggle waits in the event queue instead (the
+/// reference path).
 type CalendarSlot = Option<(SimTime, u64)>;
 
 /// Which event-queue implementation the run loop executes against.
@@ -129,32 +118,17 @@ pub enum QueueKind {
     Wheel,
 }
 
-/// Default for the kernel's clocked-path specialization (the
-/// edge-summary commit skip and the batched same-edge dispatch), read
+/// Default for the kernel's clocked fast paths (the clock calendar, the
+/// edge-summary quiet toggles and the batched same-edge dispatch), read
 /// from the `DMI_KERNEL_SPECIALIZE` environment variable: `0` or `off`
-/// selects the unspecialized reference path. On by default.
+/// selects the reference path (queued clock toggles, the full commit
+/// scan, one `Ctx` per wake). On by default.
 ///
 /// The reference path is kept purely so differential tests (and CI) can
-/// pin the specialized path bit-identical to it — like `DMI_PREDECODE=0`
-/// for the ISS dispatch engines.
+/// pin the fast paths bit-identical to it — like `DMI_PREDECODE=0` for
+/// the ISS dispatch engines.
 pub fn clock_specialization_default() -> bool {
     match std::env::var("DMI_KERNEL_SPECIALIZE") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
-    }
-}
-
-/// Default for the clock calendar (periodic toggles held in per-clock
-/// slots compared against the event-queue head instead of round-tripping
-/// through the queue), read from the `DMI_CLOCK_CALENDAR` environment
-/// variable: `0` or `off` selects the queued reference path. On by
-/// default.
-///
-/// Like `DMI_KERNEL_SPECIALIZE` and `DMI_PREDECODE`, the knob exists for
-/// A/B measurement and differential testing — the simulation is
-/// bit-identical either way (`tests/clock_specialization.rs`).
-pub fn clock_calendar_default() -> bool {
-    match std::env::var("DMI_CLOCK_CALENDAR") {
         Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
         Err(_) => true,
     }
@@ -211,22 +185,18 @@ pub struct Simulator {
     stats: KernelStats,
     tracer: Tracer,
     delta_limit: u32,
-    /// Whether the clocked-path specialization (edge-summary commit
-    /// skip and batched same-edge dispatch) is active; the `false` path
-    /// is the unspecialized reference implementation kept for
+    /// Whether the clocked fast paths (clock calendar, edge-summary
+    /// quiet toggles, batched same-edge dispatch) are active; the
+    /// `false` path is the reference implementation kept for
     /// differential testing. See [`clock_specialization_default`].
     specialize: bool,
-    /// Whether periodic clock toggles are held in the calendar (the
-    /// default) or round-trip through the event queue (the reference
-    /// path kept for differential testing). See
-    /// [`clock_calendar_default`].
-    calendar_on: bool,
-    /// Per-clock next-toggle slots, parallel to `clocks`. A slot holds
-    /// the toggle's fire time and its *virtual* sequence number —
-    /// claimed from the queue's counter at exactly the point the queued
-    /// path would have pushed the `ClockToggle`, so merging the calendar
-    /// head against the queue head by the full `(time, delta, seq)` key
-    /// reproduces the queued dispatch order bit for bit.
+    /// Per-clock next-toggle slots, parallel to `clocks`, armed only on
+    /// the fast path. A slot holds the toggle's fire time and its
+    /// *virtual* sequence number — claimed from the queue's counter at
+    /// exactly the point the reference path pushes the `ClockToggle`,
+    /// so merging the calendar head against the queue head by the full
+    /// `(time, delta, seq)` key reproduces the queued dispatch order bit
+    /// for bit.
     calendar: Vec<CalendarSlot>,
     /// Fast-path counters (observability for tests and tuning; not part
     /// of [`KernelStats`], which must be identical with the fast paths
@@ -276,7 +246,6 @@ impl Simulator {
             tracer: Tracer::new(),
             delta_limit: 10_000,
             specialize: clock_specialization_default(),
-            calendar_on: clock_calendar_default(),
             calendar: Vec::new(),
             fast: FastPathStats::default(),
             changes: Vec::new(),
@@ -292,56 +261,49 @@ impl Simulator {
         QueueKind::Heap
     }
 
-    /// Enables or disables the clocked-path specialization (A/B and
-    /// differential testing; results are bit-identical either way).
-    /// Defaults from the `DMI_KERNEL_SPECIALIZE` environment variable —
-    /// see [`clock_specialization_default`].
+    /// Selects the clocked fast paths (`true`) or the reference path
+    /// (`false`) — A/B and differential testing; results are
+    /// bit-identical either way. Defaults from the
+    /// `DMI_KERNEL_SPECIALIZE` environment variable — see
+    /// [`clock_specialization_default`].
+    ///
+    /// Pending clock toggles move between the calendar and the event
+    /// queue with their original `(time, seq)` keys, so switching between
+    /// runs — even mid-simulation — cannot change the dispatch order.
     pub fn set_clock_specialization(&mut self, on: bool) {
-        self.specialize = on;
+        if self.specialize != on {
+            self.specialize = on;
+            self.place_toggles(on);
+        }
     }
 
     /// Number of clock toggles that took the quiet fast path (skipped
-    /// commit scan and wake pass) across all runs.
+    /// commit scan and wake pass) since construction or the last
+    /// restore.
     pub fn quiet_toggles(&self) -> u64 {
         self.fast.quiet_toggles
     }
 
     /// Number of clock toggles dispatched from the calendar (never
-    /// entering the event queue) across all runs.
+    /// entering the event queue) since construction or the last restore.
     pub fn calendar_toggles(&self) -> u64 {
         self.fast.calendar_toggles
     }
 
-    /// Cumulative fast-path counters across all runs (total toggles,
-    /// quiet flips, calendar dispatches). Unlike [`stats`](Self::stats),
-    /// these *describe which path ran* and so legitimately differ
-    /// between the reference and fast configurations.
+    /// Cumulative fast-path counters (total toggles, quiet flips,
+    /// calendar dispatches) since construction or the last restore.
+    /// Unlike [`stats`](Self::stats), these *describe which path ran*
+    /// and so legitimately differ between the reference and fast paths;
+    /// they are not part of a snapshot.
     pub fn fast_path_stats(&self) -> FastPathStats {
         self.fast
     }
 
-    /// Whether the clock calendar is active.
-    pub fn clock_calendar(&self) -> bool {
-        self.calendar_on
-    }
-
-    /// Enables or disables the clock calendar (A/B and differential
-    /// testing; results are bit-identical either way — defaults from the
-    /// `DMI_CLOCK_CALENDAR` environment variable, see
-    /// [`clock_calendar_default`]).
-    ///
-    /// Pending toggles migrate between the queue and the calendar with
-    /// their original `(time, seq)` keys, so switching between runs —
-    /// even mid-simulation — cannot change the dispatch order.
-    pub fn set_clock_calendar(&mut self, on: bool) {
-        if self.calendar_on == on {
-            return;
-        }
-        self.calendar_on = on;
-        if on {
-            // Queue → calendar: lift every pending `ClockToggle` into
-            // its clock's slot; everything else goes back with its
-            // original sequence number.
+    /// Moves every clock's pending toggle into its calendar slot (`true`)
+    /// or into the event queue as a `ClockToggle` (`false`), keeping its
+    /// `(time, seq)` key. Everything else in the queue keeps its key too.
+    fn place_toggles(&mut self, in_calendar: bool) {
+        if in_calendar {
             for ev in self.queue.drain_ordered() {
                 match ev.kind {
                     EventKind::ClockToggle(k) => {
@@ -352,7 +314,6 @@ impl Simulator {
                 }
             }
         } else {
-            // Calendar → queue: park every slot as an ordinary event.
             for (k, slot) in self.calendar.iter_mut().enumerate() {
                 if let Some((time, seq)) = slot.take() {
                     self.queue.push_event(Event {
@@ -409,7 +370,7 @@ impl Simulator {
             half_period: period / 2,
         });
         let first = SimTime::from_ticks(period);
-        if self.calendar_on {
+        if self.specialize {
             let seq = self.queue.alloc_seq();
             self.calendar.push(Some((first, seq)));
         } else {
@@ -535,13 +496,18 @@ impl Simulator {
     }
 
     /// Serializes the kernel's runtime state between runs: simulated
-    /// time, cumulative [`KernelStats`] and [`FastPathStats`], the
-    /// signal board (values, pending writes, counters), the clock
-    /// calendar placement and slots (fire time + claimed virtual seq),
-    /// every pending event with its full `(time, delta, seq)` key, and
-    /// the global sequence counter. Restoring this exact tuple is what
-    /// makes a resumed run replay bit-identically: the scheduling order
-    /// is a pure function of the event keys and the counter.
+    /// time, cumulative [`KernelStats`], the signal board (values,
+    /// pending writes, counters), each clock's one pending toggle as
+    /// `(fire time, claimed seq)`, every other pending event with its
+    /// full `(time, delta, seq)` key, and the global sequence counter.
+    /// Restoring this exact tuple is what makes a resumed run replay
+    /// bit-identically: the scheduling order is a pure function of the
+    /// event keys and the counter.
+    ///
+    /// The bytes depend on the simulation alone, never on which path
+    /// ran it: a toggle is written the same way whether it waits in its
+    /// calendar slot (fast path) or in the queue (reference path), and
+    /// the [`FastPathStats`] are not written at all.
     ///
     /// Takes `&mut self` because the queue is drained in order and
     /// refilled in place — the simulator is unchanged when this
@@ -559,30 +525,27 @@ impl Simulator {
         w.put_u64(self.stats.wakes);
         w.put_u64(self.stats.deltas);
         w.put_u64(self.stats.time_steps);
-        w.put_u64(self.fast.clock_toggles);
-        w.put_u64(self.fast.quiet_toggles);
-        w.put_u64(self.fast.calendar_toggles);
         w.put_u32(self.comps.len() as u32);
         self.signals.save_state(w);
-        // Calendar placement + slots. Slots are `Some` only while the
-        // calendar is enabled; the queued reference path keeps its
-        // toggles among the ordinary events below.
-        w.put_bool(self.calendar_on);
-        w.put_u32(self.calendar.len() as u32);
-        for slot in &self.calendar {
-            match slot {
-                Some((time, seq)) => {
-                    w.put_bool(true);
-                    w.put_u64(time.ticks());
-                    w.put_u64(*seq);
-                }
-                None => w.put_bool(false),
+        // Pending events, earliest first, with original keys; each clock
+        // toggle is pulled out into its clock's entry.
+        let events = self.queue.drain_ordered();
+        let mut toggles = self.calendar.clone();
+        let mut others = Vec::with_capacity(events.len());
+        for ev in &events {
+            match ev.kind {
+                EventKind::ClockToggle(k) => toggles[k] = Some((ev.time, ev.seq)),
+                _ => others.push(ev),
             }
         }
-        // Pending events, earliest first, with original keys.
-        let events = self.queue.drain_ordered();
-        w.put_u64(events.len() as u64);
-        for ev in &events {
+        w.put_u32(toggles.len() as u32);
+        for toggle in toggles {
+            let (time, seq) = toggle.expect("every clock has one pending toggle");
+            w.put_u64(time.ticks());
+            w.put_u64(seq);
+        }
+        w.put_u64(others.len() as u64);
+        for ev in others {
             w.put_u64(ev.time.ticks());
             w.put_u32(ev.delta);
             w.put_u64(ev.seq);
@@ -601,10 +564,7 @@ impl Simulator {
                     w.put_u32(c.index() as u32);
                     w.put_u32(sig.index() as u32);
                 }
-                EventKind::ClockToggle(k) => {
-                    w.put_u8(3);
-                    w.put_u32(k as u32);
-                }
+                EventKind::ClockToggle(_) => unreachable!("toggles are written per clock"),
             }
         }
         w.put_u64(self.queue.scheduled_total());
@@ -616,18 +576,14 @@ impl Simulator {
     /// Restores kernel state written by [`Simulator::save_state`] onto a
     /// simulator with the same topology (components, signals, clocks).
     ///
-    /// The calendar placement is a *target* choice, not snapshot
-    /// content: if the snapshot's placement differs from this
-    /// simulator's, the pending toggles are migrated through the same
-    /// `(time, seq)`-preserving recipe as
-    /// [`set_clock_calendar`](Self::set_clock_calendar) — so a snapshot
-    /// taken on a calendar system restores bit-identically onto a
-    /// queued-toggle one and vice versa.
-    ///
-    /// Every clock must have exactly one pending toggle: in its calendar
-    /// slot when the snapshot was saved with the calendar on, one queued
-    /// `ClockToggle` otherwise. Any other schedule is rejected as
-    /// [`Corrupt`](crate::SnapshotError::Corrupt).
+    /// Each clock's toggle is placed where this simulator's path keeps
+    /// it — its calendar slot or the queue — with its saved
+    /// `(time, seq)` key, so a snapshot restores bit-identically onto
+    /// either path. A toggle is stored only with its clock: the event
+    /// list has no tag for one, so a snapshot that lists a toggle there
+    /// is [`Corrupt`](crate::SnapshotError::Corrupt). The
+    /// [`FastPathStats`] start from zero, just as the host-side caches
+    /// of the components restart cold.
     ///
     /// On error the simulator may be partially restored and must be
     /// discarded.
@@ -641,9 +597,7 @@ impl Simulator {
         self.stats.wakes = r.get_u64("kernel stats.wakes")?;
         self.stats.deltas = r.get_u64("kernel stats.deltas")?;
         self.stats.time_steps = r.get_u64("kernel stats.time_steps")?;
-        self.fast.clock_toggles = r.get_u64("kernel fast.clock_toggles")?;
-        self.fast.quiet_toggles = r.get_u64("kernel fast.quiet_toggles")?;
-        self.fast.calendar_toggles = r.get_u64("kernel fast.calendar_toggles")?;
+        self.fast = FastPathStats::default();
         let comps = r.get_u32("component count")? as usize;
         if comps != self.comps.len() {
             return Err(SnapshotError::Mismatch {
@@ -654,7 +608,6 @@ impl Simulator {
             });
         }
         self.signals.load_state(r)?;
-        let saved_calendar_on = r.get_bool("calendar placement")?;
         let clocks = r.get_u32("clock count")? as usize;
         if clocks != self.calendar.len() {
             return Err(SnapshotError::Mismatch {
@@ -665,17 +618,11 @@ impl Simulator {
             });
         }
         for slot in self.calendar.iter_mut() {
-            *slot = if r.get_bool("calendar slot")? {
-                let time = SimTime::from_ticks(r.get_u64("calendar slot time")?);
-                let seq = r.get_u64("calendar slot seq")?;
-                Some((time, seq))
-            } else {
-                None
-            };
+            let time = SimTime::from_ticks(r.get_u64("clock toggle time")?);
+            *slot = Some((time, r.get_u64("clock toggle seq")?));
         }
         let count = r.get_u64("event count")?;
         let mut events = Vec::new();
-        let mut queued_toggles = vec![0u64; clocks];
         for _ in 0..count {
             let time = SimTime::from_ticks(r.get_u64("event time")?);
             let delta = r.get_u32("event delta")?;
@@ -709,16 +656,6 @@ impl Simulator {
                     }
                     EventKind::SignalWake(c, crate::signal::SignalId(raw))
                 }
-                3 => {
-                    let k = r.get_u32("event clock")?;
-                    if k as usize >= clocks {
-                        return Err(SnapshotError::Corrupt {
-                            context: format!("event names clock {k} of {clocks}"),
-                        });
-                    }
-                    queued_toggles[k as usize] += 1;
-                    EventKind::ClockToggle(k as usize)
-                }
                 t => {
                     return Err(SnapshotError::Corrupt {
                         context: format!("unknown event kind tag {t}"),
@@ -732,38 +669,14 @@ impl Simulator {
                 kind,
             });
         }
-        // One pending toggle per clock, where the saved placement keeps
-        // it: a second one would double the clock's edges.
-        for (k, (slot, &queued)) in self.calendar.iter().zip(&queued_toggles).enumerate() {
-            let one_toggle = if saved_calendar_on {
-                slot.is_some() && queued == 0
-            } else {
-                slot.is_none() && queued == 1
-            };
-            if !one_toggle {
-                return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "clock {k} has {} calendar and {queued} queued toggles \
-                         (saved with the calendar {})",
-                        usize::from(slot.is_some()),
-                        if saved_calendar_on { "on" } else { "off" },
-                    ),
-                });
-            }
-        }
         let next_seq = r.get_u64("next seq")?;
         self.queue = EventQueue::new();
         for ev in events {
             self.queue.push_event(ev);
         }
         self.queue.set_next_seq(next_seq);
-        // Calendar placement is this simulator's runtime choice; if the
-        // snapshot was taken under the other placement, migrate the
-        // toggles through the standard `(time, seq)`-preserving path.
-        let want = self.calendar_on;
-        self.calendar_on = saved_calendar_on;
-        if want != saved_calendar_on {
-            self.set_clock_calendar(want);
+        if !self.specialize {
+            self.place_toggles(false);
         }
         // A restored simulator resumes cleanly: no recorded stop, empty
         // per-delta scratch (provably empty at save time, see
@@ -1171,9 +1084,10 @@ impl Simulator {
 
     /// Dispatches clock `k`'s toggle at time `t`: flip (quiet when the
     /// edge provably has no observer) and re-arm the next half-period —
-    /// in the calendar when it is on, as a queued `ClockToggle`
-    /// otherwise. The sequence number is claimed at exactly this point
-    /// on both paths, so the global scheduling order is identical.
+    /// in the calendar on the fast path, as a queued `ClockToggle` on
+    /// the reference path. The sequence number is claimed at exactly
+    /// this point on both paths, so the global scheduling order is
+    /// identical.
     #[inline]
     fn toggle_clock(&mut self, queue: &mut EventQueue, k: usize, t: SimTime) {
         self.fast.clock_toggles += 1;
@@ -1194,7 +1108,7 @@ impl Simulator {
             self.signals.write(wire, cur ^ 1);
         }
         let next_t = t + clock.half_period;
-        if self.calendar_on {
+        if self.specialize {
             self.calendar[k] = Some((next_t, queue.alloc_seq()));
         } else {
             queue.push(next_t, 0, EventKind::ClockToggle(k));

@@ -7,7 +7,7 @@
 //! a length, and a CRC-32 so corrupt or truncated input is detected at
 //! load time and reported as a typed [`SnapshotError`] — never a panic.
 //!
-//! ## Wire format (version 1)
+//! ## Wire format (version 2)
 //!
 //! ```text
 //! magic     [u8; 4]   b"DMI\x1a"
@@ -42,7 +42,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DMI\x1a";
 
 /// Current snapshot format version. Bumped on any incompatible change
 /// to a section payload layout.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Typed error for every way snapshot encoding or decoding can fail.
 ///

@@ -28,17 +28,17 @@ impl KernelStats {
 
 /// Counters for the kernel's clocked fast paths, kept **outside**
 /// [`KernelStats`] on purpose: `KernelStats` is part of the simulation's
-/// bit-identity contract (specialization on/off and calendar on/off must
-/// report the same values), while these counters *describe which path
-/// served each toggle* and therefore differ by construction between the
-/// reference and fast configurations. They are pure observability —
-/// experiments assert fast-path coverage with them, they never feed back
-/// into the simulation.
+/// bit-identity contract (the fast and reference paths must report the
+/// same values), while these counters *describe which path served each
+/// toggle* and therefore differ by construction between the two paths.
+/// They are pure observability — experiments assert fast-path coverage
+/// with them, they never feed back into the simulation, and a snapshot
+/// does not store them (a restore starts them from zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
     /// Clock toggles dispatched, over all paths (queued + calendar).
-    /// Identical across configurations — the denominator of every
-    /// coverage ratio.
+    /// Identical on both paths — the denominator of every coverage
+    /// ratio.
     pub clock_toggles: u64,
     /// Toggles whose resulting edge provably had no observer and were
     /// applied as a quiet in-place flip (no commit scan, no wake pass).

@@ -1,11 +1,10 @@
-//! Differential tests for the kernel's clocked-path specialization and
-//! the clock calendar.
+//! Differential tests for the kernel's clocked fast paths.
 //!
-//! The fast paths (edge-summary quiet toggles + batched dispatch behind
-//! `Simulator::set_clock_specialization` / `DMI_KERNEL_SPECIALIZE`, and
-//! the per-clock toggle calendar behind `Simulator::set_clock_calendar`
-//! / `DMI_CLOCK_CALENDAR`) must be **bit-identical** to their queued /
-//! unspecialized reference paths: same wake sequences (order, times,
+//! The fast paths (the per-clock toggle calendar, edge-summary quiet
+//! toggles and batched dispatch, all behind one switch:
+//! `Simulator::set_clock_specialization` / `DMI_KERNEL_SPECIALIZE`) must
+//! be **bit-identical** to the reference path (queued toggles, full
+//! commit scan, one `Ctx` per wake): same wake sequences (order, times,
 //! deltas, causes), same observed signal values, same [`KernelStats`],
 //! same traces — under randomized multi-clock (co-prime period)
 //! subscribe topologies, timer interleavings and event-budget
@@ -138,10 +137,13 @@ struct Observed {
     vcd: String,
 }
 
-fn run_topology(top: &Topology, specialize: bool, calendar: bool) -> Observed {
+/// Runs `top` on the fast path (`specialize`) or the reference path.
+/// With `split = Some((at, path))` the run stops at tick `at`, sets the
+/// switch to `path` (a no-op if it is already there) and runs on to the
+/// end.
+fn run_topology(top: &Topology, specialize: bool, split: Option<(u64, bool)>) -> Observed {
     let mut sim = Simulator::new();
     sim.set_clock_specialization(specialize);
-    sim.set_clock_calendar(calendar);
     let clocks: Vec<Wire> = top
         .clock_periods
         .iter()
@@ -184,31 +186,21 @@ fn run_topology(top: &Topology, specialize: bool, calendar: bool) -> Observed {
         ids.push(id);
     }
 
-    if top.budget == 0 {
-        sim.run_for(top.ticks);
-    } else {
-        // Sliced execution: keep resuming past event-budget stops until
-        // the deadline is reached (bounded by a generous iteration cap).
-        let deadline = SimTime::from_ticks(top.ticks);
-        let mut guard = 0;
-        loop {
-            let s = sim.run(RunLimit::until(deadline).with_max_events(top.budget));
-            guard += 1;
-            assert!(guard < 100_000, "budget slices never converged");
-            match s.stop {
-                Some(r) if r.message().contains("event budget") => continue,
-                _ => break,
-            }
+    match split {
+        Some((at, path)) => {
+            run_to(&mut sim, at, top.budget);
+            sim.set_clock_specialization(path);
+            run_to(&mut sim, top.ticks, top.budget);
         }
+        None => run_to(&mut sim, top.ticks, top.budget),
     }
 
-    // Calendar toggles never take a queue slot: coverage is total
-    // whenever the calendar is on, zero otherwise.
+    // Calendar toggles never take a queue slot: coverage is total on
+    // the fast path, zero on the reference path.
     let fast = sim.fast_path_stats();
-    if calendar {
-        assert_eq!(fast.calendar_toggles, fast.clock_toggles);
-    } else {
-        assert_eq!(fast.calendar_toggles, 0);
+    if split.is_none_or(|(_, path)| path == specialize) {
+        let expected = if specialize { fast.clock_toggles } else { 0 };
+        assert_eq!(fast.calendar_toggles, expected);
     }
 
     Observed {
@@ -225,51 +217,75 @@ fn run_topology(top: &Topology, specialize: bool, calendar: bool) -> Observed {
     }
 }
 
+/// Runs `sim` up to absolute tick `ticks`: in one run (`budget` 0), or
+/// sliced, resuming past event-budget stops until the deadline is
+/// reached (bounded by a generous iteration cap).
+fn run_to(sim: &mut Simulator, ticks: u64, budget: u64) {
+    if budget == 0 {
+        sim.run_for(ticks - sim.time().ticks());
+        return;
+    }
+    let deadline = SimTime::from_ticks(ticks);
+    let mut guard = 0;
+    loop {
+        let s = sim.run(RunLimit::until(deadline).with_max_events(budget));
+        guard += 1;
+        assert!(guard < 100_000, "budget slices never converged");
+        match s.stop {
+            Some(r) if r.message().contains("event budget") => continue,
+            _ => break,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Specialized and reference clocked paths are bit-identical on
-    /// randomized topologies, including sliced budget-interrupted runs.
+    /// The fast and reference clocked paths are bit-identical on
+    /// randomized multi-clock topologies (co-prime periods → dense
+    /// same-tick ties between clocks and timers), including sliced
+    /// budget-interrupted runs.
     #[test]
     fn specialization_is_bit_identical(top in topology_strategy()) {
-        let fast = run_topology(&top, true, true);
-        let reference = run_topology(&top, false, true);
+        let fast = run_topology(&top, true, None);
+        let reference = run_topology(&top, false, None);
         prop_assert_eq!(&fast, &reference);
     }
 
-    /// The clock calendar executes the same simulation as the queued
-    /// toggle path, on randomized multi-clock topologies (co-prime
-    /// periods → dense same-tick ties between clocks and timers).
+    /// Switching to the reference path mid-run moves every pending
+    /// toggle from its calendar slot into the queue with its `(time,
+    /// seq)` key: the run lands on exactly the simulation of a run that
+    /// was on the reference path throughout, on randomized topologies.
     #[test]
-    fn calendar_is_bit_identical(top in topology_strategy()) {
-        let calendar = run_topology(&top, true, true);
-        let queued = run_topology(&top, true, false);
-        prop_assert_eq!(&calendar, &queued);
+    fn calendar_is_bit_identical(top in topology_strategy(), percent in 1u64..100) {
+        let split = Some(((top.ticks * percent / 100).max(1), false));
+        prop_assert_eq!(run_topology(&top, true, split), run_topology(&top, false, split));
     }
 
-    /// The calendar is independent of the clocked-path specialization:
-    /// it must also match with the reference commit/dispatch path.
+    /// The reverse migration: a run that starts on the reference path
+    /// (queued toggles, unspecialized commit and dispatch) and switches
+    /// to the fast path mid-run lands on exactly the simulation of a
+    /// run that was on the fast path throughout.
     #[test]
-    fn calendar_is_bit_identical_unspecialized(top in topology_strategy()) {
-        let calendar = run_topology(&top, false, true);
-        let queued = run_topology(&top, false, false);
-        prop_assert_eq!(&calendar, &queued);
+    fn calendar_is_bit_identical_unspecialized(top in topology_strategy(), percent in 1u64..100) {
+        let split = Some(((top.ticks * percent / 100).max(1), true));
+        prop_assert_eq!(run_topology(&top, false, split), run_topology(&top, true, split));
     }
 
     /// Event-budget slicing is replay-exact: resuming past budget stops
     /// reproduces exactly the simulation one unbounded run performs —
     /// same wake sequences, signal values, traces and counters. (Only
     /// `time_steps` may differ: a resumed run re-visits the time point
-    /// it was interrupted at.) The whole-run reference executes with
-    /// the calendar *off*, so slice boundaries that land between a
-    /// calendar toggle's dispatch and its commit are checked against
-    /// the queued implementation, not just against the calendar itself.
+    /// it was interrupted at.) The whole-run reference executes on the
+    /// reference path, so slice boundaries that land between a calendar
+    /// toggle's dispatch and its commit are checked against the queued
+    /// implementation, not just against the calendar itself.
     #[test]
     fn budget_slicing_is_replay_exact(
         top in topology_strategy().prop_filter("sliced", |t| t.budget > 0)
     ) {
-        let sliced = run_topology(&top, true, true);
-        let whole = run_topology(&Topology { budget: 0, ..top.clone() }, true, false);
+        let sliced = run_topology(&top, true, None);
+        let whole = run_topology(&Topology { budget: 0, ..top.clone() }, false, None);
         prop_assert_eq!(&sliced.logs, &whole.logs);
         prop_assert_eq!(&sliced.finals, &whole.finals);
         prop_assert_eq!(&sliced.vcd, &whole.vcd);
@@ -355,15 +371,12 @@ fn traced_clock_stays_on_the_slow_path() {
     let _ = sim.component::<EdgeCounter>(id);
 }
 
-/// With the calendar on (the default), every periodic toggle dispatches
+/// On the fast path (the default), every periodic toggle dispatches
 /// from the per-clock slot — none round-trips through the event queue —
 /// and the simulation is unchanged.
 #[test]
 fn calendar_keeps_toggles_out_of_the_queue() {
     let (mut sim, id) = rising_only_sim(true);
-    // (`DMI_CLOCK_CALENDAR=0` runs this suite too — pin the path
-    // explicitly instead of relying on the environment default.)
-    sim.set_clock_calendar(true);
     sim.run_for(100);
     assert_eq!(sim.component::<EdgeCounter>(id).unwrap().edges, 10);
     let fast = sim.fast_path_stats();
@@ -372,8 +385,7 @@ fn calendar_keeps_toggles_out_of_the_queue() {
     assert_eq!(fast.calendar_toggles, 19);
     assert_eq!(fast.calendar_coverage(), 1.0);
 
-    let (mut queued, qid) = rising_only_sim(true);
-    queued.set_clock_calendar(false);
+    let (mut queued, qid) = rising_only_sim(false);
     queued.run_for(100);
     assert_eq!(queued.calendar_toggles(), 0);
     assert_eq!(queued.fast_path_stats().clock_toggles, 19);
@@ -389,12 +401,11 @@ fn calendar_keeps_toggles_out_of_the_queue() {
 /// commit (single-event slices hit every such boundary) leave the
 /// deferred quiet flip parked and the next slot armed; resuming replays
 /// the queued implementation's simulation exactly — the calendar mirror
-/// of PR 4's parked quiet-toggle tests.
+/// of the parked quiet-toggle tests.
 #[test]
 fn single_event_slices_resume_calendar_toggles_exactly() {
-    let run_sliced = |calendar: bool, max_events: u64| {
-        let (mut sim, id) = rising_only_sim(true);
-        sim.set_clock_calendar(calendar);
+    let run_sliced = |specialize: bool, max_events: u64| {
+        let (mut sim, id) = rising_only_sim(specialize);
         let deadline = SimTime::from_ticks(100);
         let mut guard = 0;
         loop {
@@ -416,8 +427,8 @@ fn single_event_slices_resume_calendar_toggles_exactly() {
             sim.fast_path_stats().clock_toggles,
         )
     };
-    // The reference is one unbounded run on the *queued* toggle path:
-    // every sliced calendar run must land on exactly its simulation.
+    // The reference is one unbounded run on the reference path: every
+    // sliced fast-path run must land on exactly its simulation.
     let reference = run_sliced(false, u64::MAX);
     assert_eq!(run_sliced(true, u64::MAX), reference);
     for max_events in [1, 2, 3, 7] {
@@ -425,16 +436,16 @@ fn single_event_slices_resume_calendar_toggles_exactly() {
     }
 }
 
-/// Switching the calendar on/off between runs migrates pending toggles
-/// with their original `(time, seq)` keys — the simulation cannot tell.
+/// Switching between the fast and reference paths between runs migrates
+/// pending toggles between the calendar and the queue with their
+/// original `(time, seq)` keys — the simulation cannot tell.
 #[test]
 fn mid_run_calendar_migration_is_seamless() {
     let run_with_switch = |start_on: bool, switch_at: Option<u64>| {
-        let (mut sim, id) = rising_only_sim(true);
-        sim.set_clock_calendar(start_on);
+        let (mut sim, id) = rising_only_sim(start_on);
         if let Some(at) = switch_at {
             sim.run_for(at);
-            sim.set_clock_calendar(!start_on);
+            sim.set_clock_specialization(!start_on);
             sim.run_for(200 - at);
         } else {
             sim.run_for(200);
@@ -455,13 +466,13 @@ fn mid_run_calendar_migration_is_seamless() {
 }
 
 /// Directed co-prime multi-clock check: three clocks whose edges only
-/// re-align every 210 ticks, subscribers on each — calendar and queued
-/// dispatch must interleave the clocks identically.
+/// re-align every 210 ticks, subscribers on each — the fast and the
+/// reference path must interleave the clocks identically.
 #[test]
 fn coprime_clocks_interleave_identically() {
-    let run = |calendar: bool| {
+    let run = |specialize: bool| {
         let mut sim = Simulator::new();
-        sim.set_clock_calendar(calendar);
+        sim.set_clock_specialization(specialize);
         let mut ids = Vec::new();
         for (name, period) in [("clk_a", 6u64), ("clk_b", 10), ("clk_c", 14)] {
             let clk = sim.add_clock(name, period);

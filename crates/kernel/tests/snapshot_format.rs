@@ -1,7 +1,8 @@
-//! Snapshot robustness, kernel level: save/restore round-trips replay
-//! bit-identically across calendar placements, and every flavour of
-//! corrupt input — truncation, bit flips, wrong magic, wrong version, a
-//! schedule that holds a clock's toggle twice — comes back as a typed
+//! Snapshot robustness, kernel level: captures do not depend on which
+//! kernel path ran, save/restore round-trips replay bit-identically
+//! across the fast and reference paths, and every flavour of corrupt
+//! input — truncation, bit flips, wrong magic, wrong version, a schedule
+//! that holds a clock's toggle twice — comes back as a typed
 //! [`SnapshotError`], never a panic.
 
 use std::any::Any;
@@ -66,11 +67,11 @@ impl Component for Lfsr {
     }
 }
 
-/// Builds a ring of `n` LFSRs on `n` buses with the clock calendar on or
-/// off.
-fn build_ring(n: usize, calendar: bool) -> (Simulator, Vec<dmi_kernel::ComponentId>, Vec<Wire>) {
+/// Builds a ring of `n` LFSRs on `n` buses on the kernel's fast path
+/// (`true`) or its reference path (`false`).
+fn build_ring(n: usize, specialize: bool) -> (Simulator, Vec<dmi_kernel::ComponentId>, Vec<Wire>) {
     let mut sim = Simulator::new();
-    sim.set_clock_calendar(calendar);
+    sim.set_clock_specialization(specialize);
     let clk = sim.add_clock("clk", 10);
     let buses: Vec<Wire> = (0..n).map(|i| sim.wire(format!("bus{i}"), 64)).collect();
     let mut ids = Vec::new();
@@ -133,11 +134,27 @@ fn observe(sim: &Simulator, ids: &[dmi_kernel::ComponentId], buses: &[Wire]) -> 
 
 #[test]
 fn restored_ring_replays_bit_identically_across_kernel_twins() {
-    // Save with the calendar on or off, restore onto both: the
-    // continuation must match the uninterrupted run exactly — the
-    // snapshot carries the schedule, not the substrate executing it.
-    for src_cal in [true, false] {
-        let (mut cont, cont_ids, cont_buses) = build_ring(5, src_cal);
+    // Both paths capture the same bytes at the same tick: before the
+    // first run, on a rising edge, on a (quiet) falling edge and between
+    // edges.
+    for at in [None, Some(0), Some(10), Some(335), Some(333), Some(1_000)] {
+        let [fast, reference] = [true, false].map(|specialize| {
+            let (mut sim, _, _) = build_ring(5, specialize);
+            if let Some(ticks) = at {
+                sim.run_for(ticks);
+            }
+            capture(&mut sim).to_bytes()
+        });
+        assert!(
+            fast == reference,
+            "captures after {at:?} ticks differ by path"
+        );
+    }
+    // Save on either path, restore onto both: the continuation must
+    // match the uninterrupted run exactly — the snapshot carries the
+    // schedule, not the path executing it.
+    for src_fast in [true, false] {
+        let (mut cont, cont_ids, cont_buses) = build_ring(5, src_fast);
         cont.run_for(333);
         let snap = capture(&mut cont);
         // Saving must not disturb the source: keep running it as the
@@ -145,14 +162,14 @@ fn restored_ring_replays_bit_identically_across_kernel_twins() {
         cont.run_for(444);
         let reference = observe(&cont, &cont_ids, &cont_buses);
 
-        for dst_cal in [true, false] {
-            let (mut restored, ids, buses) = build_ring(5, dst_cal);
+        for dst_fast in [true, false] {
+            let (mut restored, ids, buses) = build_ring(5, dst_fast);
             apply(&mut restored, &snap).expect("restore onto twin");
             restored.run_for(444);
             assert_eq!(
                 observe(&restored, &ids, &buses),
                 reference,
-                "restore cal={src_cal} -> cal={dst_cal} diverged"
+                "restore fast={src_fast} -> fast={dst_fast} diverged"
             );
         }
     }
@@ -281,40 +298,40 @@ fn restore_onto_wrong_topology_is_a_mismatch() {
     }
 }
 
-/// A capture of a 2-LFSR ring taken at time 0, before any run, with the
-/// clock calendar on or off.
-fn time_zero_capture(calendar: bool) -> Snapshot {
-    let (mut sim, _, _) = build_ring(2, calendar);
+/// A capture of a 2-LFSR ring taken at time 0, before any run, on the
+/// fast or the reference path.
+fn time_zero_capture(specialize: bool) -> Snapshot {
+    let (mut sim, _, _) = build_ring(2, specialize);
     capture(&mut sim)
 }
 
-/// A capture whose kernel section holds clock 0's next toggle twice: in
-/// its calendar slot and as a queued `ClockToggle`. It splices the slot
-/// of a calendar capture onto the event list of a queued-toggle capture
-/// (both taken at time 0, so every byte before the placement flag
-/// agrees) and claims the given placement. `push_section` computes
-/// fresh checksums, so only the kernel's own checks can reject it.
-fn double_toggle_capture(calendar_placement: bool) -> Snapshot {
-    let cal = time_zero_capture(true);
-    let queued = time_zero_capture(false);
-    let (ck, qk) = (
-        cal.section("kernel").unwrap(),
-        queued.section("kernel").unwrap(),
-    );
-    // The first differing byte is the placement flag. A `u32` clock
-    // count follows, then the ring's one clock slot: armed, it is a set
-    // flag, fire time and seq (17 bytes); empty, a clear flag (1 byte).
-    // The event list comes next.
-    let flag = ck.iter().zip(qk).position(|(a, b)| a != b).unwrap();
-    let slots = flag + 1 + 4;
-    let mut kernel = ck[..slots + 17].to_vec();
-    kernel[flag] = u8::from(calendar_placement);
-    kernel.extend_from_slice(&qk[slots + 1..]);
+/// Bytes of one `Start` event in the kernel's event list: time `u64`,
+/// delta `u32`, seq `u64`, kind tag `u8`, component `u32`.
+const START_EVENT_BYTES: usize = 8 + 4 + 8 + 1 + 4;
+
+/// A time-0 capture whose kernel section holds clock 0's next toggle
+/// twice: with its clock, and again as a queued `ClockToggle` event (tag
+/// 3, which the event list does not have). The kernel section ends with
+/// the ring's one clock entry `(time, seq)`, the event list (a `u64`
+/// count, then the two `Start` events) and the `u64` next seq; the
+/// splice copies the clock entry into a third event. `push_section`
+/// computes fresh checksums, so only the kernel's own checks can reject
+/// it.
+fn double_toggle_capture() -> Snapshot {
+    let clean = time_zero_capture(true);
+    let mut kernel = clean.section("kernel").unwrap().to_vec();
+    let count_at = kernel.len() - 8 - 2 * START_EVENT_BYTES - 8;
+    assert_eq!(kernel[count_at..count_at + 8], 2u64.to_le_bytes());
+    kernel[count_at..count_at + 8].copy_from_slice(&3u64.to_le_bytes());
+    let (time, seq) = kernel[count_at - 16..count_at].split_at(8);
+    let toggle = [time, &0u32.to_le_bytes(), seq, &[3], &0u32.to_le_bytes()].concat();
+    let seq_at = kernel.len() - 8;
+    kernel.splice(seq_at..seq_at, toggle);
     let mut spliced = Snapshot::new();
-    for name in cal.section_names() {
+    for name in clean.section_names() {
         let payload = match name {
             "kernel" => kernel.clone(),
-            _ => cal.section(name).unwrap().to_vec(),
+            _ => clean.section(name).unwrap().to_vec(),
         };
         spliced.push_section(name.to_string(), payload);
     }
@@ -323,8 +340,10 @@ fn double_toggle_capture(calendar_placement: bool) -> Snapshot {
 
 #[test]
 fn a_clock_toggle_held_twice_is_corrupt() {
-    // Clean time-0 captures restore onto either placement and replay the
-    // straight run (20 rising edges in 200 ticks)...
+    // Clean time-0 captures are the same bytes on both paths, restore
+    // onto either path and replay the straight run (20 rising edges in
+    // 200 ticks)...
+    assert!(time_zero_capture(true).to_bytes() == time_zero_capture(false).to_bytes());
     let (mut straight, ids, buses) = build_ring(2, true);
     straight.run_for(200);
     let reference = observe(&straight, &ids, &buses);
@@ -336,21 +355,16 @@ fn a_clock_toggle_held_twice_is_corrupt() {
             assert_eq!(
                 observe(&target, &ids, &buses),
                 reference,
-                "cal={src} -> cal={dst}"
+                "fast={src} -> fast={dst}"
             );
         }
     }
-    // ...while the spliced ones are corrupt, whichever placement they
-    // claim and whichever the target uses.
-    for placement in [true, false] {
-        for dst in [true, false] {
-            let (mut target, _, _) = build_ring(2, dst);
-            match apply(&mut target, &double_toggle_capture(placement)) {
-                Err(SnapshotError::Corrupt { .. }) => {}
-                other => panic!(
-                    "saved cal={placement} -> target cal={dst}: expected Corrupt, got {other:?}"
-                ),
-            }
+    // ...while the spliced one is corrupt on either path.
+    for dst in [true, false] {
+        let (mut target, _, _) = build_ring(2, dst);
+        match apply(&mut target, &double_toggle_capture()) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("target fast={dst}: expected Corrupt, got {other:?}"),
         }
     }
 }

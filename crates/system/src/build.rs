@@ -286,18 +286,21 @@ impl McSystem {
         self.sim.time().ticks() / self.clock_period
     }
 
-    /// Captures the complete simulation state — kernel event queue and
-    /// clock calendar, signal values and pending writes, every
-    /// component's architectural state (CPU cores and their private
-    /// memories, memory-model tables and arenas, interconnect FSMs, DMA
-    /// sequencers) and the fault controller's RNG stream positions —
-    /// into a versioned, checksummed [`Snapshot`].
+    /// Captures the complete simulation state — kernel schedule (each
+    /// clock's pending toggle and every other pending event), signal
+    /// values and pending writes, every component's architectural state
+    /// (CPU cores and their private memories, memory-model tables and
+    /// arenas, interconnect FSMs, DMA sequencers) and the fault
+    /// controller's RNG stream positions — into a versioned, checksummed
+    /// [`Snapshot`].
     ///
     /// Validated caches (pointer-table TLB, decoded-instruction caches,
-    /// translation hints) are *not* captured; a restored system rebuilds
-    /// them lazily, so cache hit/miss counters legitimately diverge from
-    /// an uninterrupted run while every architectural outcome stays
-    /// bit-identical. Does not advance the simulation.
+    /// translation hints), their hit/miss counters and the kernel's
+    /// [`FastPathStats`](dmi_kernel::FastPathStats) are *not* captured,
+    /// so the bytes do not depend on which kernel path or ISS engine ran.
+    /// A restored system rebuilds the caches lazily and counts from
+    /// zero; every architectural outcome stays bit-identical. Does not
+    /// advance the simulation.
     pub fn checkpoint(&mut self) -> Snapshot {
         let mut snap = Snapshot::new();
 
@@ -344,13 +347,13 @@ impl McSystem {
     /// restored run replays bit-identically to the uninterrupted
     /// original — cache counters excepted, see `checkpoint`.
     ///
-    /// Runtime twin toggles survive: the snapshot transfers across
-    /// clock-calendar settings and fault-injection enablement, because
-    /// those select *how* the same schedule executes, not the schedule
-    /// itself. The fault section is applied only when this system
-    /// carries a fault plan of the same shape (spec count); otherwise it
-    /// is skipped — which is what lets a fork diverge onto a different
-    /// fault plan.
+    /// Runtime toggles survive: the snapshot restores onto either kernel
+    /// path and either ISS engine, because those select *how* the same
+    /// schedule executes, not the schedule itself, and this system keeps
+    /// its fault-injection enablement. The fault section is applied only
+    /// when this system carries a fault plan of the same shape (spec
+    /// count); otherwise it is skipped — which is what lets a fork
+    /// diverge onto a different fault plan.
     ///
     /// On error the system may be partially restored; do not keep
     /// running it without a successful `restore`.
@@ -774,9 +777,9 @@ impl McSystem {
         self.mem_regions[h.0]
     }
 
-    /// Toggles fault injection at runtime, like the kernel fast-path
-    /// twins' toggles: the plan's trigger state is retained, only firing
-    /// is gated. No-op on systems built without a fault plan.
+    /// Toggles fault injection at runtime (it starts enabled): the
+    /// plan's trigger state is retained, only firing is gated. No-op on
+    /// systems built without a fault plan.
     pub fn set_fault_injection(&mut self, on: bool) {
         if let Some(h) = &self.fault_hook {
             h.borrow_mut().set_enabled(on);

@@ -93,30 +93,22 @@ pub struct CpuSpec {
     /// Private memory size in bytes (per CPU — heterogeneous cores may
     /// differ). Defaults to [`DEFAULT_LOCAL_MEM`].
     pub local_mem_size: u32,
-    /// Dispatch engine: predecoded micro-ops (default) or the reference
-    /// interpreter. See [`dmi_iss::CpuCore::set_predecode`].
-    pub predecode: bool,
 }
 
 impl CpuSpec {
-    /// A CPU with default local memory and dispatch engine.
+    /// A CPU with default local memory. The dispatch engine follows the
+    /// `DMI_PREDECODE` environment default (see
+    /// [`dmi_iss::predecode_default`]).
     pub fn new(program: Program) -> Self {
         CpuSpec {
             program,
             local_mem_size: DEFAULT_LOCAL_MEM,
-            predecode: dmi_iss::predecode_default(),
         }
     }
 
     /// Sets the private memory size in bytes.
     pub fn local_mem_size(mut self, bytes: u32) -> Self {
         self.local_mem_size = bytes;
-        self
-    }
-
-    /// Selects the dispatch engine.
-    pub fn predecode(mut self, on: bool) -> Self {
-        self.predecode = on;
         self
     }
 }
@@ -336,9 +328,7 @@ pub struct SystemBuilder {
     pub(crate) mems: Vec<MemSpec>,
     pub(crate) interconnect: InterconnectKind,
     pub(crate) preset: Option<Preset>,
-    pub(crate) clock_calendar: Option<bool>,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) fault_injection: Option<bool>,
 }
 
 impl Default for SystemBuilder {
@@ -357,9 +347,7 @@ impl SystemBuilder {
             mems: Vec::new(),
             interconnect: InterconnectKind::SharedBus(Default::default()),
             preset: None,
-            clock_calendar: None,
             faults: None,
-            fault_injection: None,
         }
     }
 
@@ -369,30 +357,11 @@ impl SystemBuilder {
     /// plan — the default) leaves the simulation cycle-bit-identical to a
     /// fault-free build; a non-empty plan replays exactly for a given
     /// seed, independent of host timing and the kernel's fast-path
-    /// settings.
+    /// settings. Injection starts enabled;
+    /// [`McSystem::set_fault_injection`](crate::McSystem::set_fault_injection)
+    /// switches it off and on after the build.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Pins fault injection on or off at build time instead of the
-    /// `DMI_FAULTS` environment default (see
-    /// [`dmi_core::faults_enabled_default`]). Only meaningful together
-    /// with [`faults`](Self::faults); the toggle can also be flipped at
-    /// runtime via
-    /// [`McSystem::set_fault_injection`](crate::McSystem::set_fault_injection).
-    pub fn fault_injection(mut self, on: bool) -> Self {
-        self.fault_injection = Some(on);
-        self
-    }
-
-    /// Pins the kernel's clock calendar on or off instead of the
-    /// `DMI_CLOCK_CALENDAR` environment default (see
-    /// [`dmi_kernel::clock_calendar_default`]). Purely a
-    /// host-performance A/B knob — the simulation is bit-identical
-    /// either way.
-    pub fn clock_calendar(mut self, on: bool) -> Self {
-        self.clock_calendar = Some(on);
         self
     }
 
@@ -558,20 +527,11 @@ impl SystemBuilder {
         // The shared fault controller (one per system: every site draws
         // from the same seeded plan, so cross-site trigger order is
         // well-defined).
-        let fault_hook: Option<FaultHook> = self.faults.map(|plan| {
-            let mut ctl = FaultController::new(plan);
-            if let Some(on) = self.fault_injection {
-                ctl.set_enabled(on);
-            }
-            ctl.into_hook()
-        });
+        let fault_hook: Option<FaultHook> = self
+            .faults
+            .map(|plan| FaultController::new(plan).into_hook());
 
         let mut sim = Simulator::new();
-        if let Some(on) = self.clock_calendar {
-            // Before `add_clock`, so the first toggle is armed directly
-            // on the chosen path (no migration needed).
-            sim.set_clock_calendar(on);
-        }
         let clk = sim.add_clock("clk", self.clock_period);
 
         // Masters, in insertion order (= bus-master/arbitration order).
@@ -593,7 +553,6 @@ impl SystemBuilder {
                     let halted = sim.wire(format!("cpu{i}.halted"), 1);
                     let mut core =
                         CpuCore::new(midx as u32, LocalMemory::new(0, spec.local_mem_size));
-                    core.set_predecode(spec.predecode);
                     core.load_program(&spec.program);
                     let comp = CpuComponent::new(format!("cpu{i}"), core, clk, ports, halted);
                     let id = sim.add_component(Box::new(comp));

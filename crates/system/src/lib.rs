@@ -55,9 +55,7 @@ pub use builder::{
 pub use dmi_analyze::{
     analyze, AnalysisReport, Boundary, Code, Diagnostic, Severity, Shard, ShardPlan, SystemGraph,
 };
-pub use dmi_core::{
-    faults_enabled_default, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, FaultTrigger,
-};
+pub use dmi_core::{FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats, FaultTrigger};
 pub use dmi_interconnect::{ErrorCounts, MasterError};
 pub use dmi_kernel::{Snapshot, SnapshotError};
 pub use config::{mem_base, InterconnectKind, MemModelKind, MEM_WINDOW};

@@ -175,7 +175,7 @@ fn a006_dead_fault_sites_warn_without_blocking_the_build() {
             FaultTrigger::Nth(1),
             FaultKind::Status(dmi_core::Status::Busy),
         ));
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(MemSpec::static_table(mem_base(0)));
     b.add_cpu(CpuSpec::new(workloads::scalar_rw(&WorkloadCfg {
         mem_base: mem_base(0),

@@ -1,9 +1,11 @@
 //! System-state capture, end to end: a run resumed from a checkpoint is
 //! cycle-bit-identical to the uninterrupted original — on the headline
-//! GSM pipeline across calendar placements, under live fault injection, from periodic crash-safe checkpoints, and
-//! through the warm-fork API. Cache counters (decoded-instruction cache,
-//! pointer-table TLB) are the one documented exception: they are rebuilt
-//! cold after restore, never serialized.
+//! GSM pipeline on both kernel paths, under live fault injection, from
+//! periodic crash-safe checkpoints, and through the warm-fork API — and
+//! a checkpoint does not depend on which kernel path ran. The counters
+//! of host-side caches (decoded-instruction cache, pointer-table TLB)
+//! are the one documented difference between reports: they are never
+//! serialized and restart from zero after a restore.
 
 use std::time::Duration;
 
@@ -23,7 +25,8 @@ const HEADLINE_CYCLES: u64 = 436_964;
 
 /// Normalizes a report for restored-vs-continuous comparison: wall time
 /// is host-side, and the cache counters legitimately diverge because a
-/// restored system rebuilds its validated caches cold.
+/// restored system rebuilds its validated caches cold and counts from
+/// zero.
 fn fingerprint(r: &RunReport) -> String {
     let mut r = r.clone();
     r.wall = Duration::ZERO;
@@ -38,34 +41,23 @@ fn fingerprint(r: &RunReport) -> String {
     format!("{r:?}")
 }
 
-/// Further drops the kernel and fast-path counters, so cross-twin
-/// restores compare on the architectural outcome only (the fast-path
-/// counters differ *by construction* between calendar placements).
-fn functional_fingerprint(r: &RunReport) -> String {
-    let mut r = r.clone();
-    r.kernel = Default::default();
-    r.fast_path = Default::default();
-    fingerprint(&r)
-}
-
-/// The headline GSM pipeline with the clock calendar pinned on or off,
+/// The headline GSM pipeline on the kernel's fast or reference path,
 /// with the fault layer compiled in (an empty seeded plan, so the
 /// controller's RNG stream state rides through every snapshot).
-fn gsm_system(calendar: bool) -> McSystem {
+fn gsm_system(specialize: bool) -> McSystem {
     let cfg = PipelineCfg {
         n_frames: 2,
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
-    let mut b = SystemBuilder::new()
-        .clock_calendar(calendar)
-        .faults(FaultPlan::new(0xF00D))
-        .fault_injection(true);
+    let mut b = SystemBuilder::new().faults(FaultPlan::new(0xF00D));
     for program in pipeline::stage_programs(&cfg) {
         b.add_cpu(CpuSpec::new(program));
     }
     b.add_memory(MemSpec::wrapper(mem_base(0)));
-    b.build().expect("gsm pipeline system")
+    let mut sys = b.build().expect("gsm pipeline system");
+    sys.simulator_mut().set_clock_specialization(specialize);
+    sys
 }
 
 fn run_to_completion(sys: &mut McSystem) -> RunReport {
@@ -77,11 +69,11 @@ fn headline_restore_is_cycle_bit_identical_across_kernel_twins() {
     // Split the continuous run at a fixed cycle, checkpoint there, and
     // finish both the original and a restored twin: every counter that
     // is state (not cache) must match, and the two halves must add up
-    // to the pinned headline total — under both calendar placements.
+    // to the pinned headline total — on both kernel paths.
     const SPLIT: u64 = 200_000;
-    for calendar in [true, false] {
-        let label = format!("calendar={calendar}");
-        let mut cont = gsm_system(calendar);
+    for specialize in [true, false] {
+        let label = format!("specialize={specialize}");
+        let mut cont = gsm_system(specialize);
         let first = cont.run_until(&StopCondition::cycles(SPLIT));
         assert_eq!(first.cause, StopCause::CycleBudget, "{label}");
         assert_eq!(first.sim_cycles, SPLIT, "{label}");
@@ -94,7 +86,7 @@ fn headline_restore_is_cycle_bit_identical_across_kernel_twins() {
             "{label}: checkpointing moved the headline cycle count"
         );
 
-        let mut twin = gsm_system(calendar);
+        let mut twin = gsm_system(specialize);
         twin.restore(&snap).expect("restore onto identical twin");
         let twin_rest = run_to_completion(&mut twin);
         assert!(twin_rest.all_ok(), "{label}: {}", twin_rest.summary());
@@ -108,25 +100,36 @@ fn headline_restore_is_cycle_bit_identical_across_kernel_twins() {
 
 #[test]
 fn snapshots_transfer_across_queue_and_calendar_twins() {
-    // A snapshot taken with the clock calendar on restores onto a
-    // queued-toggle twin (and completes with the identical
-    // architectural outcome): the snapshot carries the schedule, the
-    // target chooses where the clock toggles wait.
+    // The fast path (clock toggles in the calendar) and the reference
+    // path (queued toggles) checkpoint the same bytes at the same cycle.
+    // A snapshot taken on the fast path restores onto the reference
+    // path and ends in the same state as the source: the snapshot
+    // carries the schedule, the target chooses where the clock toggles
+    // wait.
     const SPLIT: u64 = 150_000;
     let mut src = gsm_system(true);
-    src.run_until(&StopCondition::cycles(SPLIT));
+    let mut reference = gsm_system(false);
+    for at in [1, 77_777, SPLIT] {
+        for sys in [&mut src, &mut reference] {
+            let done = sys.total_cycles();
+            sys.run_until(&StopCondition::cycles(at - done));
+        }
+        assert!(
+            src.checkpoint().to_bytes() == reference.checkpoint().to_bytes(),
+            "the two paths checkpoint different bytes at cycle {at}"
+        );
+    }
     let snap = src.checkpoint();
     let src_rest = run_to_completion(&mut src);
     assert!(src_rest.all_ok(), "{}", src_rest.summary());
 
     let mut twin = gsm_system(false);
-    twin.restore(&snap).expect("cross-twin restore");
+    twin.restore(&snap).expect("cross-path restore");
     let twin_rest = run_to_completion(&mut twin);
     assert!(twin_rest.all_ok(), "{}", twin_rest.summary());
-    assert_eq!(
-        functional_fingerprint(&twin_rest),
-        functional_fingerprint(&src_rest),
-        "cross-twin restore changed the architectural outcome"
+    assert!(
+        twin.checkpoint().to_bytes() == src.checkpoint().to_bytes(),
+        "cross-path restore changed the end state"
     );
     assert_eq!(src_rest.sim_cycles, twin_rest.sim_cycles);
     assert_eq!(SPLIT + twin_rest.sim_cycles, HEADLINE_CYCLES);
@@ -195,7 +198,7 @@ fn checkpoint_roundtrips_through_disk_bytes() {
 fn dma_system(plan: Option<FaultPlan>, enabled: bool) -> McSystem {
     let mut b = SystemBuilder::new();
     if let Some(p) = plan {
-        b = b.faults(p).fault_injection(enabled);
+        b = b.faults(p);
     }
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
@@ -215,7 +218,9 @@ fn dma_system(plan: Option<FaultPlan>, enabled: bool) -> McSystem {
         }),
         ..DmaConfig::default()
     })));
-    b.build().expect("dma system")
+    let mut sys = b.build().expect("dma system");
+    sys.set_fault_injection(enabled);
+    sys
 }
 
 fn lossy_plan() -> FaultPlan {
@@ -276,7 +281,7 @@ fn escalated_fault_resumes_from_pre_fault_checkpoint_and_diverges() {
         FaultKind::Status(Status::Busy),
     ));
     let escalate = |plan: FaultPlan, enabled: bool| {
-        let mut b = SystemBuilder::new().faults(plan).fault_injection(enabled);
+        let mut b = SystemBuilder::new().faults(plan);
         b.add_memory(MemSpec::wrapper(mem_base(0)));
         b.add_master(Box::new(DmaEngine::new(DmaConfig {
             kind: DmaKind::Fill { seed: 0xC0DE },
@@ -295,7 +300,9 @@ fn escalated_fault_resumes_from_pre_fault_checkpoint_and_diverges() {
             }),
             ..DmaConfig::default()
         })));
-        b.build().expect("escalating system")
+        let mut sys = b.build().expect("escalating system");
+        sys.set_fault_injection(enabled);
+        sys
     };
 
     let mut doomed = escalate(poison.clone(), true);

@@ -20,23 +20,25 @@ use dmi_system::{
 /// measured against.
 const HEADLINE_CYCLES: u64 = 436_964;
 
-/// Builds and runs the headline GSM configuration with the clock
-/// calendar pinned on or off and an optional fault plan.
-fn gsm_run(calendar: bool, plan: Option<FaultPlan>, enabled: bool) -> RunReport {
+/// Builds and runs the headline GSM configuration on the kernel's fast
+/// or reference path, with an optional fault plan.
+fn gsm_run(specialize: bool, plan: Option<FaultPlan>, enabled: bool) -> RunReport {
     let cfg = PipelineCfg {
         n_frames: 2,
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
-    let mut b = SystemBuilder::new().clock_calendar(calendar);
+    let mut b = SystemBuilder::new();
     if let Some(p) = plan {
-        b = b.faults(p).fault_injection(enabled);
+        b = b.faults(p);
     }
     for program in pipeline::stage_programs(&cfg) {
         b.add_cpu(CpuSpec::new(program));
     }
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     let mut sys = b.build().expect("gsm pipeline system");
+    sys.simulator_mut().set_clock_specialization(specialize);
+    sys.set_fault_injection(enabled);
     let r = sys.run(u64::MAX / 4);
     assert!(r.all_ok(), "{}", r.summary());
     r
@@ -45,14 +47,14 @@ fn gsm_run(calendar: bool, plan: Option<FaultPlan>, enabled: bool) -> RunReport 
 #[test]
 fn empty_plan_is_cycle_bit_identical_across_kernel_configs() {
     // The tentpole discipline: compiling the fault hooks in and wiring
-    // an *empty* plan must not move a single cycle, with the clock
-    // calendar on or off.
-    for calendar in [true, false] {
-        let base = gsm_run(calendar, None, true);
-        let twin = gsm_run(calendar, Some(FaultPlan::new(0xF00D)), true);
+    // an *empty* plan must not move a single cycle, on the kernel's fast
+    // or reference path.
+    for specialize in [true, false] {
+        let base = gsm_run(specialize, None, true);
+        let twin = gsm_run(specialize, Some(FaultPlan::new(0xF00D)), true);
         assert_eq!(
             base.sim_cycles, twin.sim_cycles,
-            "empty plan moved cycles under calendar={calendar}"
+            "empty plan moved cycles under specialize={specialize}"
         );
         assert_eq!(base.sim_cycles, HEADLINE_CYCLES);
         assert!(!twin.faults.any(), "empty plan injected something");
@@ -62,8 +64,9 @@ fn empty_plan_is_cycle_bit_identical_across_kernel_configs() {
 
 #[test]
 fn disabled_controller_with_nonempty_plan_is_inert() {
-    // The runtime toggle, pinned at build time: a plan full of faults
-    // with injection off is the same simulation as no plan at all.
+    // The runtime toggle, switched off before the first run: a plan
+    // full of faults with injection off is the same simulation as no
+    // plan at all.
     let plan = FaultPlan::new(1).with(FaultSpec::new(
         FaultSite::MemOp {
             mem: 0,
@@ -81,7 +84,7 @@ fn disabled_controller_with_nonempty_plan_is_inert() {
 /// A lossy-slave DMA scenario: one burst fill engine with a retry
 /// policy against one wrapper memory carrying the given plan.
 fn lossy_dma_sys(plan: FaultPlan) -> McSystem {
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0xC0DE },
@@ -165,7 +168,7 @@ fn seeded_fault_scenario_replays_bit_identically() {
 /// One burst engine with the default retry policy against `mem`,
 /// faulted by `plan`; returns the finished report.
 fn directed_run(mem: MemSpec, plan: FaultPlan, burst: BurstSpec) -> RunReport {
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(mem);
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0x5A00 },
@@ -274,7 +277,7 @@ fn write_beat_bit_flip_is_caught_by_the_verify_pass() {
         )
         .limit(1),
     );
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     let mem = b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 0x5A00 },
@@ -352,7 +355,7 @@ fn exhausted_retries_escalate_to_a_typed_fault_stop() {
         FaultTrigger::Every { first: 1, period: 1 },
         FaultKind::Status(Status::OutOfMemory),
     ));
-    let mut b = SystemBuilder::new().faults(plan).fault_injection(true);
+    let mut b = SystemBuilder::new().faults(plan);
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_master(Box::new(DmaEngine::new(DmaConfig {
         kind: DmaKind::Fill { seed: 1 },

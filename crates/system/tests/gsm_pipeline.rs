@@ -86,14 +86,14 @@ fn headline_toggle_fast_path_coverage_is_total() {
     // falling half-period is a quiet in-place flip (all subscribers are
     // rising-edge), so quiet coverage sits at ~50 % of all toggles.
     // `RunReport::fast_path` is the per-run surfacing of those counters.
-    // (The `DMI_CLOCK_CALENDAR=0` / `DMI_KERNEL_SPECIALIZE=0` CI jobs
-    // run this suite too — pin both paths on explicitly.)
+    // (The `DMI_KERNEL_SPECIALIZE=0` CI job runs this suite too — pin
+    // the fast path on explicitly.)
     let cfg = pipeline::PipelineCfg {
         n_frames: 1,
         mem_bases: vec![mem_base(0)],
         seed: 0x5EED,
     };
-    let mut b = SystemBuilder::new().clock_calendar(true);
+    let mut b = SystemBuilder::new();
     for program in pipeline::stage_programs(&cfg) {
         b.add_cpu(CpuSpec::new(program));
     }
