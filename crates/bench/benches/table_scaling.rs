@@ -5,17 +5,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmi_core::{ElemType, PointerTable, VptrPolicy};
 
 fn table_ops(c: &mut Criterion) {
-    // Resolution scaling, with the translation cache on (the default) and
-    // off (pure binary search) — the A/B the TLB is judged by.
+    // Resolution scaling through the TLB (`resolve`, what the wrapper
+    // calls) and without it (`peek`, the bare binary search) — the A/B the
+    // TLB is judged by.
     let mut g = c.benchmark_group("e4_table_resolution");
     for cached in [true, false] {
         for log2_n in [4u32, 8, 12, 14] {
             let n = 1u32 << log2_n;
-            let mut t = PointerTable::with_translation_cache(
-                u32::MAX,
-                VptrPolicy::PaperMonotonic,
-                cached,
-            );
+            let mut t = PointerTable::new(u32::MAX, VptrPolicy::PaperMonotonic);
             let vptrs: Vec<u32> = (0..n).map(|_| t.alloc(4, ElemType::U32).unwrap()).collect();
             let label = if cached { "entries" } else { "entries_uncached" };
             g.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
@@ -23,7 +20,11 @@ fn table_ops(c: &mut Criterion) {
                 b.iter(|| {
                     let v = vptrs[(i % n) as usize] + (i % 16);
                     i = i.wrapping_add(1);
-                    t.resolve(v)
+                    if cached {
+                        t.resolve(v)
+                    } else {
+                        t.peek(v)
+                    }
                 });
             });
         }

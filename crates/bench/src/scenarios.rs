@@ -197,7 +197,7 @@ fn add_domain(sim: &mut Simulator, domain: usize, period: u64) {
 
 /// The hand-wired `exp_multiclock` topology: `n_domains` independent
 /// clock domains at pairwise co-prime half-periods (at most
-/// [`PERIODS.len()`]). The analyzer sees it through
+/// [`PERIODS`]`.len()`). The analyzer sees it through
 /// [`SystemGraph::from_simulator`](dmi_system::SystemGraph::from_simulator).
 pub fn multiclock_sim(n_domains: usize) -> Simulator {
     assert!(n_domains >= 1 && n_domains <= PERIODS.len());

@@ -11,7 +11,7 @@
 use dmi_kernel::{SnapshotError, StateReader, StateWriter};
 
 use crate::host::HostStats;
-use crate::protocol::{OpResult, Request, Status};
+use crate::protocol::{ElemType, OpResult, Request, Status};
 
 /// Functional + timing counters of one memory module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,59 +84,36 @@ impl BeatResult {
     }
 }
 
-/// Outcome of a batched multi-beat transfer
-/// ([`DsmBackend::burst_read_block`] / [`DsmBackend::burst_write_block`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockResult {
-    /// [`Status::Ok`], or the error the first failing beat reported.
-    pub status: Status,
-    /// Beats actually transferred before completion or the error.
-    pub beats: u32,
-    /// Total simulated cycles the transferred beats occupy the module —
-    /// identical to the sum the per-beat path would have charged.
-    pub cycles: u64,
-    /// Simulated cycles of each individual beat, so a caller draining a
-    /// block buffer can keep charging cycle-true per-beat latencies.
-    pub cycles_per_beat: u64,
-}
-
-impl BlockResult {
-    /// A rejected block transfer: no beats moved, no cycles charged (the
-    /// front-end re-issues a per-beat call to surface the error with its
-    /// cycle cost). `cycles_per_beat` is advisory only when `beats == 0`.
-    pub fn rejected(status: Status, cycles_per_beat: u64) -> Self {
-        BlockResult {
-            status,
-            beats: 0,
-            cycles: 0,
-            cycles_per_beat,
-        }
-    }
-}
-
-/// Snapshot of a master's active burst, for callers that want to batch
-/// ([`DsmBackend::burst_info`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstInfo {
-    /// Direction: write (`true`) or read (`false`).
-    pub writing: bool,
-    /// Beats not yet transferred.
-    pub remaining: u32,
-}
-
 /// A shared-memory model: functional semantics plus timing.
 ///
 /// Implementations in this crate: [`WrapperBackend`] (the paper's
 /// host-backed dynamic memory), [`SimHeapBackend`] (a detailed in-simulation
-/// allocator — the "complex and slow" baseline the paper argues against).
+/// allocator — the "complex and slow" baseline the paper argues against)
+/// and [`StaticTableBackend`] (the static-table baseline behind the same
+/// register block).
+///
+/// Bursts follow the paper's I/O-array scheme. The burst command
+/// ([`Opcode::ReadBurst`] / [`Opcode::WriteBurst`]) sets up a per-master
+/// I/O array: a read stages every element there up front, a write
+/// collects its beats there and commits them to storage on the last one.
+/// The memory module turns each DATA-register access into one
+/// [`burst_read_beat`](Self::burst_read_beat) or
+/// [`burst_write_beat`](Self::burst_write_beat) call (unless a fault plan
+/// kills the beat), which indexes that array and reports the beat's own
+/// cycle cost.
 ///
 /// [`WrapperBackend`]: crate::WrapperBackend
 /// [`SimHeapBackend`]: crate::SimHeapBackend
+/// [`StaticTableBackend`]: crate::StaticTableBackend
+/// [`Opcode::ReadBurst`]: crate::Opcode::ReadBurst
+/// [`Opcode::WriteBurst`]: crate::Opcode::WriteBurst
 pub trait DsmBackend: std::fmt::Debug {
     /// Short model name for reports ("wrapper", "simheap", …).
     fn kind(&self) -> &'static str;
 
-    /// Executes a command (everything except burst data beats).
+    /// Executes a command (everything except burst data beats). Any
+    /// command other than NOP aborts the issuing master's unfinished
+    /// burst.
     fn execute(&mut self, req: &Request) -> OpResult;
 
     /// Accepts one beat of `master`'s active burst write. The final beat
@@ -145,96 +122,8 @@ pub trait DsmBackend: std::fmt::Debug {
     /// each other's bursts.
     fn burst_write_beat(&mut self, master: u8, value: u32) -> BeatResult;
 
-    /// Produces one beat of `master`'s active burst read.
+    /// Produces the next staged element of `master`'s active burst read.
     fn burst_read_beat(&mut self, master: u8) -> BeatResult;
-
-    /// Describes `master`'s active burst, if the model supports batching.
-    ///
-    /// Returning `None` (the default) tells callers to use the per-beat
-    /// interface; models that implement the block transfers below should
-    /// return the live state so front-ends (the memory module FSM) can
-    /// stream a whole burst in one backend call.
-    ///
-    /// **Contract for implementors:** by returning `Some`, a backend
-    /// opts into block streaming and promises that (a) its successful
-    /// *read* beats all charge the same cycle cost (the front-end
-    /// replays `BlockResult::cycles_per_beat` for every streamed beat),
-    /// and (b) a failing `burst_read_beat` is idempotent — it charges no
-    /// cycles and mutates no state, so the front-end may re-issue it to
-    /// surface the error. Backends with non-uniform read beats must keep
-    /// the default `None` and stay on the per-beat path.
-    fn burst_info(&self, master: u8) -> Option<BurstInfo> {
-        let _ = master;
-        None
-    }
-
-    /// Batched form of [`burst_read_beat`](Self::burst_read_beat): fills
-    /// `out` with up to `out.len()` beats in one call.
-    ///
-    /// Functionally and in charged cycles this must be *bit-identical* to
-    /// calling `burst_read_beat` `out.len()` times — batching is a host-side
-    /// fast path, never a timing-model change. The default implementation
-    /// is exactly that loop.
-    fn burst_read_block(&mut self, master: u8, out: &mut [u32]) -> BlockResult {
-        let mut cycles = 0;
-        let mut per_beat = 0;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let beat = self.burst_read_beat(master);
-            if !beat.status.is_ok() {
-                return BlockResult {
-                    status: beat.status,
-                    beats: i as u32,
-                    cycles,
-                    cycles_per_beat: per_beat,
-                };
-            }
-            *slot = beat.data;
-            cycles += beat.cycles;
-            // The first beat is the representative per-beat cost (a final
-            // beat may carry extra completion work).
-            if i == 0 {
-                per_beat = beat.cycles;
-            }
-        }
-        BlockResult {
-            status: Status::Ok,
-            beats: out.len() as u32,
-            cycles,
-            cycles_per_beat: per_beat,
-        }
-    }
-
-    /// Batched form of [`burst_write_beat`](Self::burst_write_beat): feeds
-    /// all of `values` in one call. Same bit-identical contract (and
-    /// default implementation) as [`burst_read_block`](Self::burst_read_block).
-    fn burst_write_block(&mut self, master: u8, values: &[u32]) -> BlockResult {
-        let mut cycles = 0;
-        let mut per_beat = 0;
-        for (i, v) in values.iter().enumerate() {
-            let beat = self.burst_write_beat(master, *v);
-            if !beat.status.is_ok() {
-                return BlockResult {
-                    status: beat.status,
-                    beats: i as u32,
-                    cycles,
-                    cycles_per_beat: per_beat,
-                };
-            }
-            cycles += beat.cycles;
-            // First beat as the representative cost: the final beat of a
-            // write burst additionally carries the commit step, which must
-            // not inflate per-beat charging.
-            if i == 0 {
-                per_beat = beat.cycles;
-            }
-        }
-        BlockResult {
-            status: Status::Ok,
-            beats: values.len() as u32,
-            cycles,
-            cycles_per_beat: per_beat,
-        }
-    }
 
     /// Remaining capacity in bytes (INFO register).
     fn free_bytes(&self) -> u32;
@@ -248,18 +137,51 @@ pub trait DsmBackend: std::fmt::Debug {
     /// Serializes the backend's mutable state (storage contents,
     /// allocation tables, in-flight bursts, counters) for a snapshot.
     /// Mirrors [`Component::save_state`]; configuration is not
-    /// serialized. The default writes nothing.
+    /// serialized.
     ///
     /// [`Component::save_state`]: dmi_kernel::Component::save_state
-    fn save_state(&self, w: &mut StateWriter) {
-        let _ = w;
-    }
+    fn save_state(&self, w: &mut StateWriter);
 
     /// Restores state written by [`DsmBackend::save_state`]. Must return
-    /// a typed error (never panic) on corrupt input.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let _ = r;
+    /// a typed error (never panic) on corrupt input, and must reject an
+    /// in-flight burst that the next beat could not serve: a read burst
+    /// whose staged array is not `len` elements long, a write burst whose
+    /// array does not hold the beats already taken, or a range that burst
+    /// setup would have refused.
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
+}
+
+/// Checks an in-flight burst read back from a snapshot against what burst
+/// setup and the beats taken so far guarantee, so that the next beat can
+/// neither index past the I/O array nor commit outside the checked range:
+/// `len` elements of `elem` from `offset` end within `limit` bytes, at
+/// most `len` beats are done, and the array holds `staged` words, which
+/// must be the whole read (`len`) or the write beats taken (`done`).
+pub(crate) fn check_restored_burst(
+    offset: u32,
+    elem: ElemType,
+    len: u32,
+    done: u32,
+    writing: bool,
+    staged: usize,
+    limit: u32,
+) -> Result<(), SnapshotError> {
+    let in_range = len
+        .checked_mul(elem.bytes())
+        .filter(|&bytes| bytes > 0)
+        .and_then(|bytes| offset.checked_add(bytes))
+        .is_some_and(|end| end <= limit);
+    let expected = if writing { done } else { len };
+    if in_range && done <= len && staged == expected as usize {
         Ok(())
+    } else {
+        Err(SnapshotError::Corrupt {
+            context: format!(
+                "restored burst: {done} of {len} beats of {} bytes at offset {offset} \
+                 in {limit} bytes, {staged} words staged",
+                elem.bytes()
+            ),
+        })
     }
 }
 

@@ -64,7 +64,7 @@ mod table;
 mod translator;
 mod wrapper;
 
-pub use backend::{BeatResult, BlockResult, BurstInfo, DsmBackend, MemStats};
+pub use backend::{BeatResult, DsmBackend, MemStats};
 pub use delay::{DelayModel, LinDelay};
 pub use faults::{
     BusFault, FaultController, FaultHook, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultStats,

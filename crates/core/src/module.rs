@@ -7,19 +7,9 @@
 //! Incoming signals are evaluated cycle by cycle, exactly as the paper
 //! describes.
 //!
-//! ## Burst streaming
-//!
-//! When the backend supports batching ([`DsmBackend::burst_info`]), the
-//! module drains a whole read burst from the backend in **one**
-//! [`DsmBackend::burst_read_block`] call on the first DATA read and serves
-//! the remaining beats from a module-local buffer — while still charging
-//! the backend-reported per-beat cycles on every DATA access, so bus-level
-//! timing is bit-identical to the per-beat path (see
-//! `tests/stream_equivalence.rs` in this crate). This relies on the
-//! uniform-beat contract `burst_info` implementors sign up to (see its
-//! docs); backends with non-uniform beats stay on the per-beat path by
-//! returning `None`. Streaming can be disabled with
-//! [`MemoryModule::set_stream_bursts`] for A/B comparisons.
+//! Every DATA-register access is one beat call into the backend
+//! ([`DsmBackend::burst_read_beat`] / [`DsmBackend::burst_write_beat`]),
+//! which serves it from the I/O array the burst command staged.
 
 use std::any::Any;
 
@@ -115,22 +105,6 @@ impl Default for MasterCtx {
     }
 }
 
-/// Module-local buffer holding the not-yet-served tail of a read burst
-/// drained from the backend in one block call.
-#[derive(Debug, Default)]
-struct StreamBuf {
-    data: Vec<u32>,
-    pos: usize,
-    beat_cycles: u64,
-}
-
-impl StreamBuf {
-    fn clear(&mut self) {
-        self.data.clear();
-        self.pos = 0;
-    }
-}
-
 /// A shared-memory module on the bus: FSM + exchangeable backend.
 #[derive(Debug)]
 pub struct MemoryModule {
@@ -142,10 +116,6 @@ pub struct MemoryModule {
     ctxs: [MasterCtx; 16],
     state: FsmState,
     stats: ModuleStats,
-    /// Whether read bursts are drained from the backend in one block call.
-    stream_bursts: bool,
-    /// Per-master stream buffers (mirror of the backend's banked ports).
-    streams: [StreamBuf; 16],
     /// Shared fault controller and this module's plan ordinal, when the
     /// system wired fault injection. `None` (the default) is the
     /// bit-identical pre-fault path.
@@ -158,9 +128,7 @@ pub struct MemoryModule {
 }
 
 impl MemoryModule {
-    /// Creates a module decoding its register block at `base`. Burst
-    /// streaming is on by default (it is cycle-identical; see the module
-    /// docs).
+    /// Creates a module decoding its register block at `base`.
     pub fn new(
         name: impl Into<String>,
         clk: Wire,
@@ -177,16 +145,9 @@ impl MemoryModule {
             ctxs: [MasterCtx::default(); 16],
             state: FsmState::Idle,
             stats: ModuleStats::default(),
-            stream_bursts: true,
-            streams: Default::default(),
             fault: None,
             burst_dead: [None; 16],
         }
-    }
-
-    /// Enables or disables the batched read-burst fast path (A/B testing).
-    pub fn set_stream_bursts(&mut self, on: bool) {
-        self.stream_bursts = on;
     }
 
     /// Installs a shared fault controller; `mem` is this module's
@@ -225,11 +186,10 @@ impl MemoryModule {
         match (offset, we) {
             (regs::CMD, true) => match Opcode::from_u32(wdata) {
                 Some(op) => {
-                    // The backend aborts this master's unfinished burst on
-                    // any real command; drop the streamed tail with it. A
-                    // fresh command also clears a fault-killed burst.
+                    // Any real command ends the master's burst: the
+                    // backend aborts its unfinished one, and a
+                    // fault-killed one is cleared here.
                     if !matches!(op, Opcode::Nop) {
-                        self.streams[master].clear();
                         self.burst_dead[master] = None;
                     }
                     let f = match &self.fault {
@@ -294,8 +254,9 @@ impl MemoryModule {
                     self.ctxs[master].status = s;
                     return (0, 0);
                 }
-                let (data, cycles) = self.read_data_beat(master);
-                (data ^ f.flip_mask, cycles)
+                let b = self.backend.burst_read_beat(master as u8);
+                self.ctxs[master].status = b.status;
+                (b.data ^ f.flip_mask, b.cycles)
             }
             (regs::STATUS, false) => (self.ctxs[master].status as u32, 0),
             (regs::RESULT, false) => (self.ctxs[master].result, 0),
@@ -318,59 +279,15 @@ impl MemoryModule {
     /// Applies the burst-killing part of a beat fault. Returns the
     /// status to answer with when the beat must not reach the backend —
     /// either this beat was faulted directly, or an earlier
-    /// `AbortBurst` left the burst dead. Faulted beats skip the backend
-    /// *and* the stream buffer symmetrically, so later beats are
-    /// identical whether burst streaming is on or off.
+    /// `AbortBurst` left the burst dead.
     fn faulted_beat(&mut self, master: usize, f: &MemBeatFault) -> Option<Status> {
         if f.abort {
             self.burst_dead[master] = Some(Status::OutOfBounds);
-            self.streams[master].clear();
         }
         if let Some(dead) = self.burst_dead[master] {
             return Some(dead);
         }
         f.force_status
-    }
-
-    /// One DATA-register read beat: the stream-buffer fast path with the
-    /// per-beat backend call as fallback. Sets the master's STATUS.
-    fn read_data_beat(&mut self, master: usize) -> (u32, u64) {
-        // Fast path: serve the beat from the module-local stream
-        // buffer, draining the backend once per burst.
-        if self.stream_bursts {
-            let s = &mut self.streams[master];
-            if s.pos < s.data.len() {
-                let v = s.data[s.pos];
-                s.pos += 1;
-                self.ctxs[master].status = Status::Ok;
-                return (v, s.beat_cycles);
-            }
-            if let Some(info) = self.backend.burst_info(master as u8) {
-                if !info.writing && info.remaining > 0 {
-                    let s = &mut self.streams[master];
-                    s.clear();
-                    s.data.resize(info.remaining as usize, 0);
-                    let r = self.backend.burst_read_block(master as u8, &mut s.data);
-                    // A backend may deliver fewer beats than it
-                    // advertised (a mid-burst error): keep only
-                    // what was actually transferred so the error
-                    // surfaces on the right beat, exactly where
-                    // the per-beat path would have reported it.
-                    s.data.truncate(r.beats as usize);
-                    if r.beats > 0 {
-                        s.beat_cycles = r.cycles_per_beat;
-                        s.pos = 1;
-                        self.ctxs[master].status = Status::Ok;
-                        return (s.data[0], s.beat_cycles);
-                    }
-                    // Zero beats: fall through to the per-beat
-                    // call, which reproduces the error verbatim.
-                }
-            }
-        }
-        let b = self.backend.burst_read_beat(master as u8);
-        self.ctxs[master].status = b.status;
-        (b.data, b.cycles)
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, data: u32) {
@@ -458,14 +375,6 @@ impl Component for MemoryModule {
         w.put_u64(self.stats.transactions);
         w.put_u64(self.stats.busy_cycles);
         w.put_u64(self.stats.idle_cycles);
-        for s in &self.streams {
-            w.put_u64(s.data.len() as u64);
-            for v in &s.data {
-                w.put_u32(*v);
-            }
-            w.put_u64(s.pos as u64);
-            w.put_u64(s.beat_cycles);
-        }
         for dead in &self.burst_dead {
             match dead {
                 Some(status) => {
@@ -510,20 +419,6 @@ impl Component for MemoryModule {
         self.stats.transactions = r.get_u64("module stats.transactions")?;
         self.stats.busy_cycles = r.get_u64("module stats.busy_cycles")?;
         self.stats.idle_cycles = r.get_u64("module stats.idle_cycles")?;
-        for s in &mut self.streams {
-            let n = r.get_u64("module stream len")? as usize;
-            s.data.clear();
-            for _ in 0..n {
-                s.data.push(r.get_u32("module stream word")?);
-            }
-            s.pos = r.get_u64("module stream pos")? as usize;
-            s.beat_cycles = r.get_u64("module stream beat_cycles")?;
-            if s.pos > s.data.len() {
-                return Err(SnapshotError::Corrupt {
-                    context: "memory module: stream cursor out of range".to_string(),
-                });
-            }
-        }
         for dead in &mut self.burst_dead {
             *dead = if r.get_bool("module burst_dead flag")? {
                 let raw = r.get_u32("module burst_dead status")?;

@@ -20,7 +20,7 @@
 //! Virtual pointers returned by ALLOC are byte offsets of the payload
 //! inside the array, so pointer arithmetic works natively.
 
-use crate::backend::{BeatResult, BlockResult, BurstInfo, DsmBackend, MemStats};
+use crate::backend::{check_restored_burst, BeatResult, DsmBackend, MemStats};
 use crate::protocol::{ElemType, Opcode, OpResult, Request, Status};
 use crate::translator::{Endian, Translator};
 use crate::wrapper::WIDTH_FROM_TABLE;
@@ -416,93 +416,6 @@ impl DsmBackend for SimHeapBackend {
         BeatResult::ok(value, 1)
     }
 
-    fn burst_info(&self, master: u8) -> Option<BurstInfo> {
-        self.burst[master as usize & 0xF].as_ref().map(|b| BurstInfo {
-            writing: b.writing,
-            remaining: b.len - b.done,
-        })
-    }
-
-    fn burst_read_block(&mut self, master: u8, out: &mut [u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        };
-        if burst.writing {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        }
-        // Bulk copy out of the staged I/O array; each successful read beat
-        // of this model costs exactly 1 cycle (the uniform-beat contract
-        // `burst_info` implies).
-        let n = (out.len() as u32).min(burst.len - burst.done);
-        let from = burst.done as usize;
-        out[..n as usize].copy_from_slice(&burst.iobuf[from..from + n as usize]);
-        burst.done += n;
-        if burst.done == burst.len {
-            self.burst[slot] = None;
-        }
-        let cycles = n as u64;
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            // Mirror the per-beat loop: over-asking ends with the error
-            // the next per-beat call would report.
-            status: if (out.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: 1,
-        }
-    }
-
-    fn burst_write_block(&mut self, master: u8, values: &[u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        };
-        if !burst.writing {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        }
-        let n = (values.len() as u32).min(burst.len - burst.done);
-        burst.iobuf.extend_from_slice(&values[..n as usize]);
-        burst.done += n;
-        let complete = burst.done == burst.len;
-        // Accumulation beats cost 1 each; completion commits the I/O array
-        // into the simulated array, charging `word_latency` per element —
-        // identical to the final per-beat call.
-        let mut cycles = n as u64;
-        if complete {
-            let burst = self.burst[slot].take().expect("checked above");
-            let t = self.translator;
-            for (i, v) in burst.iobuf.iter().enumerate() {
-                let ok = t.store(
-                    &mut self.mem,
-                    burst.offset + (i as u32) * burst.elem.bytes(),
-                    *v,
-                    burst.elem,
-                );
-                debug_assert!(ok);
-                self.word_touches += 1;
-                cycles += self.word_latency;
-            }
-        }
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            status: if (values.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: 1,
-        }
-    }
-
     fn free_bytes(&self) -> u32 {
         self.len() - self.used_bytes
     }
@@ -574,11 +487,7 @@ impl DsmBackend for SimHeapBackend {
                 for _ in 0..n {
                     iobuf.push(r.get_u32("simheap iobuf word")?);
                 }
-                if done > len {
-                    return Err(SnapshotError::Corrupt {
-                        context: "simheap burst: cursor out of range".to_string(),
-                    });
-                }
+                check_restored_burst(offset, elem, len, done, writing, n, self.len())?;
                 Some(BurstState {
                     offset,
                     elem,

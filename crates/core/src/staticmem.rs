@@ -12,7 +12,7 @@ use std::any::Any;
 
 use dmi_kernel::{Component, Ctx, Wake, Wire};
 
-use crate::backend::{BeatResult, BlockResult, BurstInfo, DsmBackend, MemStats};
+use crate::backend::{check_restored_burst, BeatResult, DsmBackend, MemStats};
 use crate::module::{ModuleStats, SlavePorts};
 use crate::protocol::{ElemType, Opcode, OpResult, Request, Status};
 use crate::translator::{Endian, Translator};
@@ -262,7 +262,7 @@ struct StaticBurst {
 /// The static table as a protocol backend: a flat array behind the same
 /// command register block as the dynamic models, so the traditional
 /// baseline can sit behind [`crate::MemoryModule`] and be compared
-/// handshake-for-handshake (including the burst streaming fast path).
+/// handshake-for-handshake, burst beats included.
 ///
 /// Allocation, free and reservations answer [`Status::Unsupported`] —
 /// that *is* the baseline's limitation the paper starts from; data
@@ -458,77 +458,6 @@ impl DsmBackend for StaticTableBackend {
         BeatResult::ok(value, 1)
     }
 
-    fn burst_info(&self, master: u8) -> Option<BurstInfo> {
-        self.burst[master as usize & 0xF].as_ref().map(|b| BurstInfo {
-            writing: b.writing,
-            remaining: b.len - b.done,
-        })
-    }
-
-    fn burst_read_block(&mut self, master: u8, out: &mut [u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        };
-        if burst.writing {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        }
-        let n = (out.len() as u32).min(burst.len - burst.done);
-        let from = burst.done as usize;
-        out[..n as usize].copy_from_slice(&burst.iobuf[from..from + n as usize]);
-        burst.done += n;
-        if burst.done == burst.len {
-            self.burst[slot] = None;
-        }
-        let cycles = n as u64;
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            status: if (out.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: 1,
-        }
-    }
-
-    fn burst_write_block(&mut self, master: u8, values: &[u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        };
-        if !burst.writing {
-            return BlockResult::rejected(Status::BadArgs, 1);
-        }
-        let n = (values.len() as u32).min(burst.len - burst.done);
-        burst.iobuf.extend_from_slice(&values[..n as usize]);
-        burst.done += n;
-        let complete = burst.done == burst.len;
-        let mut cycles = n as u64;
-        if complete {
-            let burst = self.burst[slot].take().expect("checked above");
-            let t = self.translator;
-            let ok = t.store_slice(&mut self.mem, burst.offset, &burst.iobuf, burst.elem);
-            debug_assert!(ok, "bounds checked at setup");
-            cycles += self.config.write_latency * burst.len as u64;
-        }
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            status: if (values.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: 1,
-        }
-    }
-
     fn free_bytes(&self) -> u32 {
         // No allocation concept: the whole table is always "available".
         self.mem.len() as u32
@@ -595,11 +524,7 @@ impl DsmBackend for StaticTableBackend {
                 for _ in 0..n {
                     iobuf.push(r.get_u32("static iobuf word")?);
                 }
-                if done > len {
-                    return Err(SnapshotError::Corrupt {
-                        context: "static burst: cursor out of range".to_string(),
-                    });
-                }
+                check_restored_burst(offset, elem, len, done, writing, n, self.mem.len() as u32)?;
                 Some(StaticBurst {
                     offset,
                     elem,
@@ -784,64 +709,36 @@ mod tests {
         for i in 0..4u32 {
             assert!(m.burst_write_beat(0, 0x50 + i).status.is_ok());
         }
-        // Per-beat read back.
         assert!(m.execute(&breq(Opcode::ReadBurst, 0x20, 2, 4)).status.is_ok());
-        assert_eq!(
-            m.burst_info(0),
-            Some(BurstInfo {
-                writing: false,
-                remaining: 4
-            })
-        );
         for i in 0..4u32 {
-            assert_eq!(m.burst_read_beat(0).data, 0x50 + i);
+            assert_eq!(m.burst_read_beat(0), BeatResult::ok(0x50 + i, 1));
         }
-        assert_eq!(m.burst_read_beat(0).status, Status::BadArgs);
-        // Block read back.
-        assert!(m.execute(&breq(Opcode::ReadBurst, 0x20, 2, 4)).status.is_ok());
-        let mut out = [0u32; 4];
-        let r = m.burst_read_block(0, &mut out);
-        assert_eq!(r.status, Status::Ok);
-        assert_eq!(r.beats, 4);
-        assert_eq!(out, [0x50, 0x51, 0x52, 0x53]);
-        // Block write path.
-        let s = m.execute(&breq(Opcode::WriteBurst, 0x40, 2, 3));
-        assert!(s.status.is_ok());
-        let w = m.burst_write_block(0, &[9, 8, 7]);
-        assert_eq!(w.status, Status::Ok);
-        assert_eq!(w.beats, 3);
+        assert_eq!(m.burst_read_beat(0), BeatResult::err(Status::BadArgs, 1));
+        // A second block, written by beats and read back by scalar reads.
+        assert!(m.execute(&breq(Opcode::WriteBurst, 0x40, 2, 3)).status.is_ok());
+        for v in [9, 8, 7] {
+            assert!(m.burst_write_beat(0, v).status.is_ok());
+        }
         assert_eq!(m.execute(&breq(Opcode::Read, 0x44, 0, 2)).result, 8);
+        assert_eq!(m.stats().burst_beats, 11, "the failed beat moves nothing");
     }
 
     #[test]
     fn backend_block_cycles_match_beats() {
-        // Same data through blocks and through beats: identical charged
-        // cycles (the stream_equivalence contract).
+        // A 9-beat block each way: one cycle per beat, the write commit
+        // adding `write_latency` per element on the last beat, the read
+        // charging `read_latency` per element at setup.
         let data: Vec<u32> = (0..9).map(|i| i * 3 + 1).collect();
         let len = data.len() as u32;
-        let mut a = backend(256);
-        let mut b = backend(256);
-        assert!(a.execute(&breq(Opcode::WriteBurst, 0, 2, len)).status.is_ok());
-        assert!(b.execute(&breq(Opcode::WriteBurst, 0, 2, len)).status.is_ok());
-        let block = a.burst_write_block(0, &data);
-        let mut beat_cycles = 0;
-        for v in &data {
-            let beat = b.burst_write_beat(0, *v);
-            assert!(beat.status.is_ok());
-            beat_cycles += beat.cycles;
-        }
-        assert_eq!(block.cycles, beat_cycles);
-        assert!(a.execute(&breq(Opcode::ReadBurst, 0, 2, len)).status.is_ok());
-        assert!(b.execute(&breq(Opcode::ReadBurst, 0, 2, len)).status.is_ok());
-        let mut out = vec![0u32; data.len()];
-        let rblock = a.burst_read_block(0, &mut out);
-        let mut read_cycles = 0;
+        let mut m = backend(256);
+        assert_eq!(m.execute(&breq(Opcode::WriteBurst, 0, 2, len)).cycles, 1);
+        let write: Vec<u64> = data.iter().map(|v| m.burst_write_beat(0, *v).cycles).collect();
+        assert_eq!(write, [1, 1, 1, 1, 1, 1, 1, 1, 10]);
+        assert_eq!(m.execute(&breq(Opcode::ReadBurst, 0, 2, len)).cycles, 20);
         for (i, expect) in data.iter().enumerate() {
-            let beat = b.burst_read_beat(0);
-            assert_eq!(beat.data, *expect, "beat {i}");
-            read_cycles += beat.cycles;
+            assert_eq!(m.burst_read_beat(0), BeatResult::ok(*expect, 1), "beat {i}");
         }
-        assert_eq!(out, data);
-        assert_eq!(rblock.cycles, read_cycles);
+        let s = m.stats();
+        assert_eq!((s.burst_beats, s.busy_cycles), (18, 1 + 18 + 20 + 9));
     }
 }

@@ -40,8 +40,9 @@
 //! answer. Lines are additionally invalidated wholesale on free (the
 //! "table re-compacted" step shifts entry indices) via a generation
 //! counter, so the cache state never outlives the entry layout it
-//! describes. Functional results are therefore bit-identical with the TLB
-//! on or off; only host-side speed differs.
+//! describes. The TLB has no off switch: [`PointerTable::peek`] runs the
+//! same binary search without it, and `tests/table_props.rs` checks every
+//! cached resolution against `peek` on the same table.
 
 use crate::gaps::GapIndex;
 use crate::host::{HostAlloc, HostStats};
@@ -246,24 +247,14 @@ pub struct PointerTable {
     stats: TableStats,
     host_stats: HostStats,
     tlb: Tlb,
-    /// Whether [`resolve`](Self::resolve) may serve from the TLB.
-    tlb_enabled: bool,
     /// Free-gap index mirroring `entries` (first-fit placement in
     /// O(log n)); maintained only under [`VptrPolicy::FirstFitReuse`].
     gaps: Option<GapIndex>,
 }
 
 impl PointerTable {
-    /// Creates a table managing `capacity` bytes of simulated memory,
-    /// with the translation cache enabled.
+    /// Creates a table managing `capacity` bytes of simulated memory.
     pub fn new(capacity: u32, policy: VptrPolicy) -> Self {
-        Self::with_translation_cache(capacity, policy, true)
-    }
-
-    /// Creates a table with the translation cache explicitly enabled or
-    /// disabled. Disabling exists for A/B equivalence testing — results
-    /// are bit-identical either way, only host-side speed differs.
-    pub fn with_translation_cache(capacity: u32, policy: VptrPolicy, cache: bool) -> Self {
         PointerTable {
             entries: Vec::new(),
             capacity,
@@ -272,7 +263,6 @@ impl PointerTable {
             stats: TableStats::default(),
             host_stats: HostStats::default(),
             tlb: Tlb::new(),
-            tlb_enabled: cache,
             gaps: (policy == VptrPolicy::FirstFitReuse).then(GapIndex::new_full),
         }
     }
@@ -419,9 +409,7 @@ impl PointerTable {
         // lines for those entries fail containment validation and refill
         // lazily, so no invalidation is required here. Growing keeps the
         // direct map conflict-free as the live population climbs.
-        if self.tlb_enabled {
-            self.tlb.grow_for(self.entries.len());
-        }
+        self.tlb.grow_for(self.entries.len());
         Ok(vptr)
     }
 
@@ -449,10 +437,8 @@ impl PointerTable {
         self.stats.compactions += 1;
         // The compaction moved entry indices: invalidate the whole TLB in
         // O(1) by bumping its generation.
-        if self.tlb_enabled {
-            self.tlb.invalidate();
-            self.stats.tlb_invalidations += 1;
-        }
+        self.tlb.invalidate();
+        self.stats.tlb_invalidations += 1;
         self.used -= entry.size;
         self.stats.frees += 1;
         self.host_stats.frees += 1;
@@ -479,66 +465,50 @@ impl PointerTable {
     pub fn resolve(&mut self, vptr: u32) -> Option<(usize, u32)> {
         self.stats.arith_resolutions += 1;
 
-        if self.tlb_enabled {
-            // Fast path 1: the last-hit slot.
-            let last = self.tlb.last as usize;
-            if let Some(e) = self.entries.get(last) {
+        // Fast path 1: the last-hit slot.
+        let last = self.tlb.last as usize;
+        if let Some(e) = self.entries.get(last) {
+            if e.contains(vptr) {
+                self.stats.tlb_hits += 1;
+                return Some((last, vptr - e.vptr));
+            }
+        }
+
+        // Fast path 2: the direct-mapped line for this page.
+        let page = vptr >> TLB_PAGE_BITS;
+        let slot = self.tlb.slot(page);
+        let line = self.tlb.lines[slot];
+        if line.page == page && line.gen == self.tlb.gen {
+            if let Some(e) = self.entries.get(line.idx as usize) {
                 if e.contains(vptr) {
                     self.stats.tlb_hits += 1;
-                    return Some((last, vptr - e.vptr));
+                    self.tlb.last = line.idx;
+                    return Some((line.idx as usize, vptr - e.vptr));
                 }
             }
-
-            // Fast path 2: the direct-mapped line for this page.
-            let page = vptr >> TLB_PAGE_BITS;
-            let slot = self.tlb.slot(page);
-            let line = self.tlb.lines[slot];
-            if line.page == page && line.gen == self.tlb.gen {
-                if let Some(e) = self.entries.get(line.idx as usize) {
-                    if e.contains(vptr) {
-                        self.stats.tlb_hits += 1;
-                        self.tlb.last = line.idx;
-                        return Some((line.idx as usize, vptr - e.vptr));
-                    }
-                }
-            }
-            self.stats.tlb_misses += 1;
         }
+        self.stats.tlb_misses += 1;
 
         // Slow path: binary search, then fill the line and last-hit slot.
-        let idx = match self.entries.binary_search_by_key(&vptr, |e| e.vptr) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
+        let (idx, offset) = self.peek(vptr)?;
+        self.tlb.lines[slot] = TlbLine {
+            page,
+            idx: idx as u32,
+            gen: self.tlb.gen,
         };
-        let e = &self.entries[idx];
-        if !e.contains(vptr) {
-            return None;
-        }
-        if self.tlb_enabled {
-            let page = vptr >> TLB_PAGE_BITS;
-            let slot = self.tlb.slot(page);
-            self.tlb.lines[slot] = TlbLine {
-                page,
-                idx: idx as u32,
-                gen: self.tlb.gen,
-            };
-            self.tlb.last = idx as u32;
-        }
-        Some((idx, vptr - e.vptr))
+        self.tlb.last = idx as u32;
+        Some((idx, offset))
     }
 
     /// [`resolve`](Self::resolve) with a caller-provided entry-index hint
     /// (a per-master translation slot in the wrapper). A valid hint skips
     /// even the shared TLB probe; an invalid one falls back to `resolve`.
     pub fn resolve_hinted(&mut self, vptr: u32, hint: u32) -> Option<(usize, u32)> {
-        if self.tlb_enabled {
-            if let Some(e) = self.entries.get(hint as usize) {
-                if e.contains(vptr) {
-                    self.stats.arith_resolutions += 1;
-                    self.stats.tlb_hits += 1;
-                    return Some((hint as usize, vptr - e.vptr));
-                }
+        if let Some(e) = self.entries.get(hint as usize) {
+            if e.contains(vptr) {
+                self.stats.arith_resolutions += 1;
+                self.stats.tlb_hits += 1;
+                return Some((hint as usize, vptr - e.vptr));
             }
         }
         self.resolve(vptr)
@@ -658,7 +628,8 @@ impl PointerTable {
     /// payload bytes), accounting state, and counters. The TLB and the
     /// gap index are validated caches and are *reconstructed* on load,
     /// not serialized; neither are the TLB's hit, miss and invalidation
-    /// counters, so the bytes are the same with the TLB on or off.
+    /// counters, which describe the host-side cache and not the
+    /// simulation.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -757,9 +728,7 @@ impl PointerTable {
         // Rebuild the validated caches instead of trusting serialized
         // copies: a cold TLB and the exact free-space complement.
         self.tlb = Tlb::new();
-        if self.tlb_enabled {
-            self.tlb.grow_for(self.entries.len());
-        }
+        self.tlb.grow_for(self.entries.len());
         self.gaps = (self.policy == VptrPolicy::FirstFitReuse).then(|| {
             GapIndex::from_allocated(self.entries.iter().map(|e| (e.vptr, e.size)))
         });

@@ -14,20 +14,24 @@
 //!
 //! ## Hot-path engineering
 //!
-//! Three fast paths keep the host cost per simulated access near-constant
-//! without changing any functional result or charged cycle:
+//! Three host-side measures keep the cost per simulated access
+//! near-constant without changing any functional result or charged cycle:
 //!
-//! * **Per-master translation hints** — each master's last translated
-//!   entry index short-circuits [`PointerTable::resolve`] for the common
-//!   stride-through-one-buffer pattern (validated, so never stale-wrong);
+//! * **Cached translation** — each master's last translated entry index
+//!   short-circuits [`PointerTable::resolve_hinted`], and behind it the
+//!   table's TLB serves repeat translations. Both are validated on use,
+//!   so never stale-wrong; `tests/table_props.rs` checks every resolution
+//!   against the uncached [`PointerTable::peek`] and every operation
+//!   against a wrapper restored cold from a snapshot;
 //! * **Bulk I/O-array staging** — burst reads stage and burst writes
 //!   commit through [`Translator::load_slice`]/[`Translator::store_slice`]
-//!   in one pass over the host allocation instead of one call per element;
+//!   in one pass over the host allocation, and each DATA beat indexes the
+//!   staged array;
 //! * **I/O-array reuse** — the paper's banked per-port burst buffers are
 //!   allocated once per master and recycled, so burst setup does not touch
 //!   the host allocator.
 
-use crate::backend::{BeatResult, BlockResult, BurstInfo, DsmBackend, MemStats};
+use crate::backend::{check_restored_burst, BeatResult, DsmBackend, MemStats};
 use crate::delay::DelayModel;
 use crate::protocol::{ElemType, Opcode, OpResult, Request, Status};
 use crate::table::{AllocError, PointerTable, PtrError, VptrPolicy};
@@ -64,11 +68,6 @@ pub struct WrapperConfig {
     pub endian: Endian,
     /// Delay parameters of the cycle-true part.
     pub delays: DelayModel,
-    /// Whether the translation fast paths (pointer-table TLB and
-    /// per-master hints) are used. On by default; turning it off exists
-    /// for A/B equivalence testing — functional results and charged
-    /// cycles are bit-identical either way (`tests/table_props.rs`).
-    pub translation_cache: bool,
 }
 
 impl Default for WrapperConfig {
@@ -78,7 +77,6 @@ impl Default for WrapperConfig {
             policy: VptrPolicy::PaperMonotonic,
             endian: Endian::Little,
             delays: DelayModel::default(),
-            translation_cache: true,
         }
     }
 }
@@ -104,11 +102,7 @@ impl WrapperBackend {
     /// Creates a wrapper with the given configuration.
     pub fn new(config: WrapperConfig) -> Self {
         WrapperBackend {
-            table: PointerTable::with_translation_cache(
-                config.capacity,
-                config.policy,
-                config.translation_cache,
-            ),
+            table: PointerTable::new(config.capacity, config.policy),
             translator: Translator::new(config.endian),
             delays: config.delays,
             burst: Default::default(),
@@ -377,80 +371,6 @@ impl DsmBackend for WrapperBackend {
         BeatResult::ok(value, cycles)
     }
 
-    fn burst_info(&self, master: u8) -> Option<BurstInfo> {
-        self.burst[master as usize & 0xF].as_ref().map(|b| BurstInfo {
-            writing: b.writing,
-            remaining: b.len - b.done,
-        })
-    }
-
-    fn burst_read_block(&mut self, master: u8, out: &mut [u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let per_beat = self.delays.burst_beat;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, per_beat);
-        };
-        if burst.writing {
-            return BlockResult::rejected(Status::BadArgs, per_beat);
-        }
-        // Bulk slice copy out of the staged I/O array — one memcpy instead
-        // of one virtual call per beat.
-        let n = (out.len() as u32).min(burst.len - burst.done);
-        let from = burst.done as usize;
-        out[..n as usize].copy_from_slice(&self.iobufs[slot][from..from + n as usize]);
-        burst.done += n;
-        let exhausted = burst.done == burst.len;
-        if exhausted {
-            self.burst[slot] = None;
-        }
-        let cycles = n as u64 * per_beat;
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            // Mirror the per-beat loop: asking for more beats than remain
-            // ends with the error the next per-beat call would return.
-            status: if (out.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: per_beat,
-        }
-    }
-
-    fn burst_write_block(&mut self, master: u8, values: &[u32]) -> BlockResult {
-        let slot = master as usize & 0xF;
-        let per_beat = self.delays.burst_beat;
-        let Some(burst) = self.burst[slot].as_mut() else {
-            return BlockResult::rejected(Status::BadArgs, per_beat);
-        };
-        if !burst.writing {
-            return BlockResult::rejected(Status::BadArgs, per_beat);
-        }
-        let n = (values.len() as u32).min(burst.len - burst.done);
-        self.iobufs[slot].extend_from_slice(&values[..n as usize]);
-        burst.done += n;
-        let complete = burst.done == burst.len;
-        let mut cycles = n as u64 * per_beat;
-        if complete {
-            cycles += self.commit_write_burst(slot);
-        }
-        self.stats.burst_beats += n as u64;
-        self.stats.busy_cycles += cycles;
-        BlockResult {
-            status: if (values.len() as u32) > n {
-                Status::BadArgs
-            } else {
-                Status::Ok
-            },
-            beats: n,
-            cycles,
-            cycles_per_beat: per_beat,
-        }
-    }
-
     fn free_bytes(&self) -> u32 {
         self.table.free_bytes()
     }
@@ -502,28 +422,20 @@ impl DsmBackend for WrapperBackend {
         use dmi_kernel::SnapshotError;
         self.table.load_state(r)?;
         for slot in 0..16 {
-            self.burst[slot] = if r.get_bool("wrapper burst flag")? {
+            let burst = if r.get_bool("wrapper burst flag")? {
                 let entry = r.get_u64("wrapper burst entry")? as usize;
                 let offset = r.get_u32("wrapper burst offset")?;
                 let elem = ElemType::from_u32(r.get_u8("wrapper burst elem")? as u32)
                     .ok_or_else(|| SnapshotError::Corrupt {
                         context: "wrapper burst: invalid element type".to_string(),
                     })?;
-                let len = r.get_u32("wrapper burst len")?;
-                let done = r.get_u32("wrapper burst done")?;
-                let writing = r.get_bool("wrapper burst writing")?;
-                if entry >= self.table.len() || done > len {
-                    return Err(SnapshotError::Corrupt {
-                        context: "wrapper burst: cursor out of range".to_string(),
-                    });
-                }
                 Some(BurstState {
                     entry,
                     offset,
                     elem,
-                    len,
-                    done,
-                    writing,
+                    len: r.get_u32("wrapper burst len")?,
+                    done: r.get_u32("wrapper burst done")?,
+                    writing: r.get_bool("wrapper burst writing")?,
                 })
             } else {
                 None
@@ -534,6 +446,16 @@ impl DsmBackend for WrapperBackend {
             for _ in 0..n {
                 buf.push(r.get_u32("wrapper iobuf word")?);
             }
+            if let Some(b) = &burst {
+                if b.entry >= self.table.len() {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!("wrapper burst: no table entry {}", b.entry),
+                    });
+                }
+                let limit = self.table.entry(b.entry).size;
+                check_restored_burst(b.offset, b.elem, b.len, b.done, b.writing, n, limit)?;
+            }
+            self.burst[slot] = burst;
         }
         self.stats = crate::backend::read_mem_stats(r)?;
         // Translation hints are validated caches; restart cold.

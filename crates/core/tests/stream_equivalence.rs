@@ -1,8 +1,9 @@
-//! Equivalence tests for the burst fast paths: with module-side burst
-//! streaming (one `burst_read_block` backend call per burst) on or off,
-//! every bus-visible observable — read data, per-transaction latency,
-//! status — must be *bit-identical*. The fast path may only change host
-//! speed, never simulated behaviour.
+//! Burst data at the bus: every DATA beat goes through the backend's
+//! per-beat calls, which serve it from the I/O array the burst command
+//! staged. Each script pins what the bus master and the backend observed
+//! (read data and statuses, per-transaction latencies, transaction count
+//! and `MemStats::burst_beats`) as one CRC-32, so a change to burst
+//! timing, data or accounting shows on every backend.
 
 use std::any::Any;
 
@@ -10,7 +11,9 @@ use dmi_core::{
     regs, DsmBackend, ElemType, MemoryModule, Opcode, SimHeapBackend, SimHeapConfig, SlavePorts,
     StaticMemConfig, StaticTableBackend, Status, WrapperBackend, WrapperConfig, WIDTH_FROM_TABLE,
 };
-use dmi_kernel::{Component, Ctx, Edge, Simulator, Wire};
+use dmi_kernel::{
+    crc32, Component, Ctx, Edge, Simulator, SnapshotError, StateReader, StateWriter, Wire,
+};
 
 /// A scripted bus master driving the slave handshake directly.
 #[derive(Debug)]
@@ -93,24 +96,37 @@ fn static_backend() -> Box<dyn DsmBackend> {
     }))
 }
 
-/// Runs `script` against a wrapper-backed module (the default subject).
-fn run_script(script: Vec<(u32, bool, u32)>, streaming: bool) -> (Vec<u32>, Vec<u64>, u64, u64) {
-    run_script_on(wrapper_backend, script, streaming)
+/// What the bus master and the backend observed over one script.
+struct Run {
+    results: Vec<u32>,
+    latencies: Vec<u64>,
+    transactions: u64,
+    burst_beats: u64,
 }
 
-/// Runs `script` against a module over the given backend and returns
-/// `(results, latencies, module transactions, backend burst beats)`.
-fn run_script_on(
-    mk: BackendFactory,
-    script: Vec<(u32, bool, u32)>,
-    streaming: bool,
-) -> (Vec<u32>, Vec<u64>, u64, u64) {
+impl Run {
+    /// CRC-32 over every observable, in order: results, latencies, the
+    /// module's transaction count and the backend's burst beats.
+    fn fingerprint(&self) -> u32 {
+        let mut bytes = Vec::new();
+        for r in &self.results {
+            bytes.extend_from_slice(&r.to_le_bytes());
+        }
+        for l in &self.latencies {
+            bytes.extend_from_slice(&l.to_le_bytes());
+        }
+        bytes.extend_from_slice(&self.transactions.to_le_bytes());
+        bytes.extend_from_slice(&self.burst_beats.to_le_bytes());
+        crc32(&bytes)
+    }
+}
+
+/// Runs `script` against a module over the given backend.
+fn run_script_on(mk: BackendFactory, script: Vec<(u32, bool, u32)>) -> Run {
     let mut sim = Simulator::new();
     let clk = sim.add_clock("clk", 2);
     let ports = SlavePorts::declare(&mut sim, "mem.s");
-    let backend = mk();
-    let mut module = MemoryModule::new("mem", clk, ports, BASE, backend);
-    module.set_stream_bursts(streaming);
+    let module = MemoryModule::new("mem", clk, ports, BASE, mk());
     let mid = sim.add_component(Box::new(module));
     sim.subscribe(mid, clk, Edge::Rising);
     let n = script.len();
@@ -131,33 +147,31 @@ fn run_script_on(
     assert!(summary.stop.is_some(), "script did not finish ({n} ops)");
     let m: &ScriptMaster = sim.component(sid).unwrap();
     let module: &MemoryModule = sim.component(mid).unwrap();
-    (
-        m.results.clone(),
-        m.latencies.clone(),
-        module.stats().transactions,
-        module.backend().stats().burst_beats,
-    )
+    Run {
+        results: m.results.clone(),
+        latencies: m.latencies.clone(),
+        transactions: module.stats().transactions,
+        burst_beats: module.backend().stats().burst_beats,
+    }
 }
 
-/// Asserts the two paths observe exactly the same behaviour on `script`.
-///
-/// `burst_beats` counts beats transferred *between module and backend*:
-/// streaming drains a whole burst up front, so on aborted bursts it may
-/// exceed the number of beats the master consumed — never the other way
-/// around. Every bus-visible observable must still match exactly.
-fn assert_equivalent(script: Vec<(u32, bool, u32)>) {
-    assert_equivalent_on(wrapper_backend, script)
-}
-
-fn assert_equivalent_on(mk: BackendFactory, script: Vec<(u32, bool, u32)>) {
-    let (r_on, l_on, t_on, b_on) = run_script_on(mk, script.clone(), true);
-    let (r_off, l_off, t_off, b_off) = run_script_on(mk, script, false);
-    assert_eq!(r_on, r_off, "read data must be bit-identical");
-    assert_eq!(l_on, l_off, "per-transaction latencies must be identical");
-    assert_eq!(t_on, t_off, "transaction counts must match");
-    assert!(
-        b_on >= b_off,
-        "streaming may prefetch but never under-transfer: {b_on} vs {b_off}"
+/// Asserts `script` on the backend reproduces the pinned fingerprint and
+/// counts exactly `burst_beats` beats, the ones the master transferred.
+fn assert_pinned(
+    mk: BackendFactory,
+    script: Vec<(u32, bool, u32)>,
+    fingerprint: u32,
+    burst_beats: u64,
+) {
+    let run = run_script_on(mk, script);
+    assert_eq!(run.burst_beats, burst_beats, "burst beats");
+    assert_eq!(
+        run.fingerprint(),
+        fingerprint,
+        "results {:x?}, latencies {:?}, {} transactions",
+        run.results,
+        run.latencies,
+        run.transactions
     );
 }
 
@@ -187,18 +201,19 @@ fn burst_write_read_script(len: u32) -> Vec<(u32, bool, u32)> {
 
 #[test]
 fn burst_round_trip_is_equivalent() {
-    for len in [1u32, 2, 7, 64] {
-        assert_equivalent(burst_write_read_script(len));
-        // Fully consumed bursts additionally keep exact beat accounting.
-        let (_, _, _, b_on) = run_script(burst_write_read_script(len), true);
-        let (_, _, _, b_off) = run_script(burst_write_read_script(len), false);
-        assert_eq!(b_on, b_off, "fully consumed bursts count identically");
+    for (len, fingerprint, beats) in [
+        (1u32, 0x7f73_2697, 2),
+        (2, 0x5dd6_6a19, 4),
+        (7, 0x0511_4ee3, 14),
+        (64, 0xb6f1_cc46, 128),
+    ] {
+        assert_pinned(wrapper_backend, burst_write_read_script(len), fingerprint, beats);
     }
 }
 
 #[test]
 fn burst_round_trip_returns_written_data() {
-    let (results, _, _, _) = run_script(burst_write_read_script(8), true);
+    let results = run_script_on(wrapper_backend, burst_write_read_script(8)).results;
     // The last 9 results are the 8 read beats plus STATUS.
     let beats = &results[results.len() - 9..results.len() - 1];
     let expect: Vec<u32> = (0..8).map(|i| 0x1000 + i).collect();
@@ -209,8 +224,8 @@ fn burst_round_trip_returns_written_data() {
 #[test]
 fn aborted_burst_is_equivalent() {
     // Setup a read burst, consume two beats, then abort with a scalar read
-    // command and keep using the module. Streaming must drop its buffered
-    // tail exactly like the backend drops its I/O array.
+    // command and keep using the module: the backend drops its I/O array
+    // and counts only the 2 + 4 beats the master read.
     let mut s = vec![
         (BASE + regs::ARG0, true, 8),
         (BASE + regs::ARG1, true, ElemType::U32 as u32),
@@ -243,7 +258,7 @@ fn aborted_burst_is_equivalent() {
         (BASE + regs::DATA, false, 0),
         (BASE + regs::STATUS, false, 0),
     ]);
-    assert_equivalent(s);
+    assert_pinned(wrapper_backend, s, 0x45ab_5e52, 6);
 }
 
 #[test]
@@ -252,7 +267,7 @@ fn overrun_burst_is_equivalent() {
     let mut s = burst_write_read_script(3);
     s.push((BASE + regs::DATA, false, 0));
     s.push((BASE + regs::STATUS, false, 0));
-    assert_equivalent(s);
+    assert_pinned(wrapper_backend, s, 0xb627_9c5f, 6);
 }
 
 #[test]
@@ -274,7 +289,7 @@ fn wrong_direction_data_access_is_equivalent() {
         (BASE + regs::DATA, false, 0),
         (BASE + regs::STATUS, false, 0),
     ];
-    assert_equivalent(s);
+    assert_pinned(wrapper_backend, s, 0x507b_4c7b, 4);
 }
 
 /// Burst write + read back addressed by raw offset (no allocation): the
@@ -329,22 +344,36 @@ fn raw_aborted_script(offset: u32) -> Vec<(u32, bool, u32)> {
     ]
 }
 
-#[test]
-fn simheap_bursts_are_equivalent() {
-    for len in [1u32, 2, 7, 64] {
-        assert_equivalent_on(simheap_backend, raw_burst_script(0x40, len));
-    }
-    assert_equivalent_on(simheap_backend, raw_aborted_script(0x40));
-    // Over-reading one beat past the burst errors identically.
+/// Fingerprints and beat counts of `raw_burst_script(0x40, len)`: the
+/// in-simulation heap and the static table charge the same cycles per
+/// beat and observe the same bus traffic on it.
+const RAW_ROUND_TRIPS: [(u32, u32, u64); 4] = [
+    (1, 0x3ae3_b50c, 2),
+    (2, 0x5c0e_1a02, 4),
+    (7, 0xaa89_544c, 14),
+    (64, 0x7845_1a75, 128),
+];
+
+/// A raw burst of three beats read one beat past its end.
+fn raw_overrun_script() -> Vec<(u32, bool, u32)> {
     let mut s = raw_burst_script(0x40, 3);
     s.push((BASE + regs::DATA, false, 0));
     s.push((BASE + regs::STATUS, false, 0));
-    assert_equivalent_on(simheap_backend, s);
+    s
+}
+
+#[test]
+fn simheap_bursts_are_equivalent() {
+    for (len, fingerprint, beats) in RAW_ROUND_TRIPS {
+        assert_pinned(simheap_backend, raw_burst_script(0x40, len), fingerprint, beats);
+    }
+    assert_pinned(simheap_backend, raw_aborted_script(0x40), 0xdb26_8326, 6);
+    assert_pinned(simheap_backend, raw_overrun_script(), 0x1b71_092a, 6);
 }
 
 #[test]
 fn simheap_burst_data_round_trips_when_streamed() {
-    let (results, _, _, _) = run_script_on(simheap_backend, raw_burst_script(0x40, 8), true);
+    let results = run_script_on(simheap_backend, raw_burst_script(0x40, 8)).results;
     let beats = &results[results.len() - 9..results.len() - 1];
     let expect: Vec<u32> = (0..8).map(|i| 0x9000 + i * 5).collect();
     assert_eq!(beats, expect.as_slice());
@@ -353,21 +382,199 @@ fn simheap_burst_data_round_trips_when_streamed() {
 
 #[test]
 fn static_table_bursts_are_equivalent() {
-    for len in [1u32, 2, 7, 64] {
-        assert_equivalent_on(static_backend, raw_burst_script(0x40, len));
+    for (len, fingerprint, beats) in RAW_ROUND_TRIPS {
+        assert_pinned(static_backend, raw_burst_script(0x40, len), fingerprint, beats);
     }
-    assert_equivalent_on(static_backend, raw_aborted_script(0x40));
-    let mut s = raw_burst_script(0x40, 3);
-    s.push((BASE + regs::DATA, false, 0));
-    s.push((BASE + regs::STATUS, false, 0));
-    assert_equivalent_on(static_backend, s);
+    assert_pinned(static_backend, raw_aborted_script(0x40), 0xaba4_28ab, 6);
+    assert_pinned(static_backend, raw_overrun_script(), 0xa3e4_1bbf, 6);
 }
 
 #[test]
 fn static_table_burst_data_round_trips_when_streamed() {
-    let (results, _, _, _) = run_script_on(static_backend, raw_burst_script(0x80, 8), true);
+    let results = run_script_on(static_backend, raw_burst_script(0x80, 8)).results;
     let beats = &results[results.len() - 9..results.len() - 1];
     let expect: Vec<u32> = (0..8).map(|i| 0x9000 + i * 5).collect();
     assert_eq!(beats, expect.as_slice());
     assert_eq!(results[results.len() - 1], Status::Ok as u32);
+}
+
+/// Bytes of the region a restored burst addresses: the wrapper's one
+/// table entry, or the whole array of the simulated heap and static table.
+const REGION: u32 = 64;
+
+/// Master 0's in-flight burst as a backend snapshot records it, with
+/// `staged` words in its I/O array.
+#[derive(Debug, Clone, Copy)]
+struct SavedBurst {
+    offset: u32,
+    len: u32,
+    done: u32,
+    writing: bool,
+    staged: u32,
+}
+
+/// Word `i` of a saved burst's I/O array.
+fn staged_word(i: u32) -> u32 {
+    0x100 + i
+}
+
+fn put_cursor(w: &mut StateWriter, b: SavedBurst) {
+    w.put_u32(b.offset);
+    w.put_u8(ElemType::U32 as u8);
+    w.put_u32(b.len);
+    w.put_u32(b.done);
+    w.put_bool(b.writing);
+}
+
+fn put_iobuf(w: &mut StateWriter, words: u32) {
+    w.put_u64(words as u64);
+    for i in 0..words {
+        w.put_u32(staged_word(i));
+    }
+}
+
+/// The backend's `MemStats`, all zero.
+fn put_mem_stats(w: &mut StateWriter) {
+    for _ in 0..11 {
+        w.put_u64(0);
+    }
+}
+
+/// A wrapper payload: one word entry of `REGION` bytes at vptr 0, and
+/// `b` on master 0.
+fn wrapper_payload(b: SavedBurst) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_u32(1); // entries
+    w.put_u32(0); // vptr
+    w.put_u32(REGION / 4); // dim
+    w.put_u8(ElemType::U32 as u8);
+    w.put_u32(REGION); // size
+    w.put_bool(false); // not reserved
+    w.put_bytes(&[0; REGION as usize]);
+    w.put_u32(REGION); // used
+    // Table counters (7) and host-allocation counters (3).
+    for _ in 0..10 {
+        w.put_u64(0);
+    }
+    w.put_bool(true);
+    w.put_u64(0); // entry index
+    put_cursor(&mut w, b);
+    put_iobuf(&mut w, b.staged);
+    for _ in 1..16 {
+        w.put_bool(false);
+        put_iobuf(&mut w, 0);
+    }
+    put_mem_stats(&mut w);
+    w.into_bytes()
+}
+
+/// The burst slots shared by the simulated heap's and the static table's
+/// payloads: `b` on master 0, no burst on the others.
+fn put_array_bursts(w: &mut StateWriter, b: SavedBurst) {
+    w.put_bool(true);
+    put_cursor(w, b);
+    put_iobuf(w, b.staged);
+    for _ in 1..16 {
+        w.put_bool(false);
+    }
+    put_mem_stats(w);
+}
+
+fn simheap_payload(b: SavedBurst) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_bytes(&[0; REGION as usize]);
+    w.put_u32(0); // used bytes
+    w.put_u64(0); // word touches
+    put_array_bursts(&mut w, b);
+    w.into_bytes()
+}
+
+fn static_payload(b: SavedBurst) -> Vec<u8> {
+    let mut w = StateWriter::new();
+    w.put_bytes(&[0; REGION as usize]);
+    put_array_bursts(&mut w, b);
+    w.into_bytes()
+}
+
+fn load(m: &mut dyn DsmBackend, payload: &[u8]) -> Result<(), SnapshotError> {
+    m.load_state(&mut StateReader::new(payload))
+}
+
+#[test]
+fn restored_burst_state_is_validated() {
+    type Payload = fn(SavedBurst) -> Vec<u8>;
+    let backends: [(&str, BackendFactory, Payload); 3] = [
+        ("wrapper", wrapper_backend, wrapper_payload),
+        (
+            "simheap",
+            || {
+                Box::new(SimHeapBackend::new(SimHeapConfig {
+                    capacity: REGION,
+                    ..SimHeapConfig::default()
+                }))
+            },
+            simheap_payload,
+        ),
+        (
+            "static",
+            || {
+                Box::new(StaticTableBackend::new(StaticMemConfig {
+                    capacity: REGION,
+                    ..StaticMemConfig::default()
+                }))
+            },
+            static_payload,
+        ),
+    ];
+    let read = SavedBurst {
+        offset: 8,
+        len: 4,
+        done: 1,
+        writing: false,
+        staged: 4,
+    };
+    let write = SavedBurst {
+        writing: true,
+        staged: 1,
+        ..read
+    };
+    for (name, mk, payload) in backends {
+        // Consistent bursts load, and their next beat is served.
+        let mut m = mk();
+        load(m.as_mut(), &payload(read)).expect("consistent read burst");
+        let beat = m.burst_read_beat(0);
+        assert_eq!((beat.status, beat.data), (Status::Ok, staged_word(1)), "{name}");
+        let mut m = mk();
+        load(m.as_mut(), &payload(write)).expect("consistent write burst");
+        assert!(m.burst_write_beat(0, 7).status.is_ok(), "{name}");
+
+        for bad in [
+            // The staged read is shorter than the burst.
+            SavedBurst { staged: 2, ..read },
+            // The I/O array does not hold the write beats taken.
+            SavedBurst { staged: 2, ..write },
+            // The range leaves the entry or the array.
+            SavedBurst {
+                offset: REGION - 8,
+                ..read
+            },
+            SavedBurst {
+                offset: REGION - 8,
+                ..write
+            },
+            // Burst setup refuses an empty burst.
+            SavedBurst {
+                len: 0,
+                done: 0,
+                staged: 0,
+                ..read
+            },
+        ] {
+            let r = load(mk().as_mut(), &payload(bad));
+            assert!(
+                matches!(r, Err(SnapshotError::Corrupt { .. })),
+                "{name}: {bad:?} gave {r:?}"
+            );
+        }
+    }
 }

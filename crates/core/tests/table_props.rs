@@ -3,9 +3,10 @@
 //! sequences, and the two dynamic models agree functionally.
 
 use dmi_core::{
-    AllocError, DsmBackend, ElemType, Opcode, PointerTable, Request, SimHeapBackend,
+    AllocError, BeatResult, DsmBackend, ElemType, Opcode, PointerTable, Request, SimHeapBackend,
     SimHeapConfig, Status, VptrPolicy, WrapperBackend, WrapperConfig,
 };
+use dmi_kernel::{StateReader, StateWriter};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -154,112 +155,102 @@ proptest! {
         prop_assert!(big.status.is_ok());
     }
 
-    /// The TLB never serves a stale translation: resolutions on a table
-    /// with the cache enabled are identical, op for op, to resolutions on
-    /// a cache-less shadow table fed the same operation sequence —
-    /// including across frees (invalidation), first-fit vptr reuse and
-    /// entry-index shifts.
+    /// The TLB never serves a stale translation: after every operation,
+    /// `resolve` and `resolve_hinted` (with an arbitrary entry-index hint)
+    /// agree with `peek`, the same binary search without the TLB, on the
+    /// same table — including across frees (invalidation), first-fit vptr
+    /// reuse and entry-index shifts.
     #[test]
     fn tlb_resolutions_match_uncached_table(
         ops in prop::collection::vec(op_strategy(), 1..120),
-        probes in prop::collection::vec(0u32..4096, 16),
+        probes in prop::collection::vec((0u32..4096, 0u32..64), 16),
         first_fit in any::<bool>(),
     ) {
         let policy = if first_fit { VptrPolicy::FirstFitReuse } else { VptrPolicy::PaperMonotonic };
-        let mut cached = PointerTable::with_translation_cache(4096, policy, true);
-        let mut plain = PointerTable::with_translation_cache(4096, policy, false);
+        let mut t = PointerTable::new(4096, policy);
         let mut live: Vec<u32> = Vec::new();
         for op in ops {
             match op {
                 Op::Alloc { dim, elem } => {
-                    let elem = ElemType::from_u32(elem as u32).unwrap();
-                    let a = cached.alloc(dim, elem);
-                    let b = plain.alloc(dim, elem);
-                    prop_assert_eq!(a, b);
-                    if let Ok(v) = a { live.push(v); }
+                    if let Ok(v) = t.alloc(dim, ElemType::from_u32(elem as u32).unwrap()) {
+                        live.push(v);
+                    }
                 }
                 Op::Free { pick } if !live.is_empty() => {
                     let v = live.remove(pick % live.len());
-                    let a = cached.free(v, 0);
-                    let b = plain.free(v, 0);
-                    prop_assert_eq!(a, b);
+                    prop_assert!(t.free(v, 0).is_ok());
                 }
                 Op::Read { pick, off } | Op::Write { pick, off, .. } if !live.is_empty() => {
                     let v = live[pick % live.len()].wrapping_add(off);
-                    let a = cached.resolve(v).map(|(i, o)| (cached.entry(i).vptr, o));
-                    let b = plain.resolve(v).map(|(i, o)| (plain.entry(i).vptr, o));
-                    prop_assert_eq!(a, b, "resolve({:#x})", v);
+                    let expect = t.peek(v);
+                    prop_assert_eq!(t.resolve(v), expect, "resolve({:#x})", v);
                 }
                 _ => {}
             }
-            // Sweep fixed probe addresses after every op: any stale TLB
-            // line would show up as a divergence here.
-            for &p in &probes {
-                let a = cached.resolve(p).map(|(i, o)| (cached.entry(i).vptr, o));
-                let b = plain.resolve(p).map(|(i, o)| (plain.entry(i).vptr, o));
-                prop_assert_eq!(a, b, "probe {:#x}", p);
+            // Sweep fixed probe addresses after every op, through the
+            // shared TLB and through a hint: any stale TLB line or wrongly
+            // trusted hint would show up as a divergence here.
+            for &(p, hint) in &probes {
+                let expect = t.peek(p);
+                prop_assert_eq!(t.resolve(p), expect, "probe {:#x}", p);
+                prop_assert_eq!(t.resolve_hinted(p, hint), expect, "probe {:#x} hint {}", p, hint);
             }
         }
     }
 
-    /// Wrapper equivalence: with the translation cache on vs off, every
-    /// operation's result, status and charged cycles are bit-identical —
-    /// the fast path may only change host speed, never simulated
-    /// behaviour.
+    /// Warm and cold translation caches give the same answers: before
+    /// every operation a second wrapper is restored from the first one's
+    /// snapshot, which restarts its TLB and per-master hints cold. Both
+    /// then run the operation, and status, result and charged cycles must
+    /// be bit-identical — the caches may only change host speed, never
+    /// simulated behaviour.
     #[test]
     fn wrapper_equivalent_with_and_without_tlb(
         ops in prop::collection::vec(op_strategy(), 1..100),
     ) {
-        let mut fast = WrapperBackend::new(WrapperConfig::default());
-        let mut slow = WrapperBackend::new(WrapperConfig {
-            translation_cache: false,
-            ..WrapperConfig::default()
-        });
-        let req = |op, a0, a1, a2| Request { op, arg0: a0, arg1: a1, arg2: a2, master: 0 };
+        let mut warm = WrapperBackend::new(WrapperConfig::default());
+        let req = |op, arg0, arg1, master| Request { op, arg0, arg1, arg2: 0, master };
         let mut live: Vec<u32> = Vec::new();
         for op in ops {
-            let r = match op {
-                Op::Alloc { dim, elem } => {
-                    let a = fast.execute(&req(Opcode::Alloc, dim, elem as u32, 0));
-                    let b = slow.execute(&req(Opcode::Alloc, dim, elem as u32, 0));
-                    if a.status.is_ok() { live.push(a.result); }
-                    (a, b)
-                }
+            let rq = match op {
+                Op::Alloc { dim, elem } => req(Opcode::Alloc, dim, elem as u32, 0),
                 Op::Free { pick } if !live.is_empty() => {
-                    let v = live.remove(pick % live.len());
-                    (fast.execute(&req(Opcode::Free, v, 0, 0)),
-                     slow.execute(&req(Opcode::Free, v, 0, 0)))
+                    req(Opcode::Free, live.remove(pick % live.len()), 0, 0)
                 }
                 Op::Write { pick, off, value } if !live.is_empty() => {
-                    let v = live[pick % live.len()].wrapping_add(off);
-                    (fast.execute(&req(Opcode::Write, v, value, 0)),
-                     slow.execute(&req(Opcode::Write, v, value, 0)))
+                    req(Opcode::Write, live[pick % live.len()].wrapping_add(off), value, 0)
                 }
                 Op::Read { pick, off } if !live.is_empty() => {
-                    let v = live[pick % live.len()].wrapping_add(off);
-                    (fast.execute(&req(Opcode::Read, v, 0, 0)),
-                     slow.execute(&req(Opcode::Read, v, 0, 0)))
+                    req(Opcode::Read, live[pick % live.len()].wrapping_add(off), 0, 0)
                 }
                 Op::Reserve { pick, master } if !live.is_empty() => {
-                    let v = live[pick % live.len()];
-                    let rq = |m| Request { op: Opcode::Reserve, arg0: v, arg1: 0, arg2: 0, master: m };
-                    (fast.execute(&rq(master)), slow.execute(&rq(master)))
+                    req(Opcode::Reserve, live[pick % live.len()], 0, master)
                 }
                 Op::Release { pick, master } if !live.is_empty() => {
-                    let v = live[pick % live.len()];
-                    let rq = |m| Request { op: Opcode::Release, arg0: v, arg1: 0, arg2: 0, master: m };
-                    (fast.execute(&rq(master)), slow.execute(&rq(master)))
+                    req(Opcode::Release, live[pick % live.len()], 0, master)
                 }
                 _ => continue,
             };
-            prop_assert_eq!(r.0.status, r.1.status);
-            prop_assert_eq!(r.0.result, r.1.result);
-            prop_assert_eq!(r.0.cycles, r.1.cycles, "charged cycles must match");
+            let mut w = StateWriter::new();
+            warm.save_state(&mut w);
+            let snapshot = w.into_bytes();
+            let mut cold = WrapperBackend::new(WrapperConfig::default());
+            prop_assert!(cold.load_state(&mut StateReader::new(&snapshot)).is_ok());
+            let a = warm.execute(&rq);
+            let b = cold.execute(&rq);
+            if rq.op == Opcode::Alloc && a.status.is_ok() {
+                live.push(a.result);
+            }
+            prop_assert_eq!(a.status, b.status);
+            prop_assert_eq!(a.result, b.result);
+            prop_assert_eq!(a.cycles, b.cycles, "charged cycles must match");
         }
     }
 
-    /// Batched burst blocks are bit-identical to per-beat transfers: data,
-    /// per-beat cycle charges and final memory state all match.
+    /// A block of words moves through a burst beat by beat at the
+    /// wrapper's per-beat charges (default delays): one cycle per beat,
+    /// two more on the last write beat for the commit, one cycle for the
+    /// failed beat past the end, and one burst beat counted per transfer.
     #[test]
     fn burst_blocks_equal_beats(
         data in prop::collection::vec(any::<u32>(), 1..48),
@@ -267,39 +258,20 @@ proptest! {
         let req = |op, a0, a1, a2| Request { op, arg0: a0, arg1: a1, arg2: a2, master: 0 };
         let len = data.len() as u32;
 
-        let mut a = WrapperBackend::new(WrapperConfig::default());
-        let va = a.execute(&req(Opcode::Alloc, len, ElemType::U32 as u32, 0)).result;
-        prop_assert!(a.execute(&req(Opcode::WriteBurst, va, 2, len)).status.is_ok());
-        let block = a.burst_write_block(0, &data);
-        prop_assert_eq!(block.status, Status::Ok);
-        prop_assert_eq!(block.beats, len);
-
-        let mut b = WrapperBackend::new(WrapperConfig::default());
-        let vb = b.execute(&req(Opcode::Alloc, len, ElemType::U32 as u32, 0)).result;
-        prop_assert!(b.execute(&req(Opcode::WriteBurst, vb, 2, len)).status.is_ok());
-        let mut beat_cycles = 0;
-        for v in &data {
-            let beat = b.burst_write_beat(0, *v);
-            prop_assert!(beat.status.is_ok());
-            beat_cycles += beat.cycles;
+        let mut m = WrapperBackend::new(WrapperConfig::default());
+        let v = m.execute(&req(Opcode::Alloc, len, ElemType::U32 as u32, 0)).result;
+        prop_assert!(m.execute(&req(Opcode::WriteBurst, v, 2, len)).status.is_ok());
+        for (i, value) in data.iter().enumerate() {
+            let commit = if i + 1 == data.len() { 2 } else { 0 };
+            let beat = m.burst_write_beat(0, *value);
+            prop_assert_eq!(beat, BeatResult::ok(0, 1 + commit), "write beat {}", i);
         }
-        prop_assert_eq!(block.cycles, beat_cycles, "identical charged cycles");
-
-        // Read back through a block on one side, beats on the other.
-        prop_assert!(a.execute(&req(Opcode::ReadBurst, va, 2, len)).status.is_ok());
-        prop_assert!(b.execute(&req(Opcode::ReadBurst, vb, 2, len)).status.is_ok());
-        let mut out = vec![0u32; data.len()];
-        let rblock = a.burst_read_block(0, &mut out);
-        prop_assert_eq!(rblock.status, Status::Ok);
-        let mut read_cycles = 0;
+        prop_assert!(m.execute(&req(Opcode::ReadBurst, v, 2, len)).status.is_ok());
         for (i, expect) in data.iter().enumerate() {
-            let beat = b.burst_read_beat(0);
-            prop_assert!(beat.status.is_ok());
-            prop_assert_eq!(beat.data, *expect, "beat {}", i);
-            prop_assert_eq!(out[i], *expect, "block element {}", i);
-            read_cycles += beat.cycles;
+            prop_assert_eq!(m.burst_read_beat(0), BeatResult::ok(*expect, 1), "read beat {}", i);
         }
-        prop_assert_eq!(rblock.cycles, read_cycles);
+        prop_assert_eq!(m.burst_read_beat(0), BeatResult::err(Status::BadArgs, 1));
+        prop_assert_eq!(m.stats().burst_beats, 2 * len as u64);
     }
 
     /// Burst transfers and scalar writes are equivalent on the wrapper.

@@ -12,14 +12,14 @@
 //! |---|---|
 //! | `g_add`, `g_mult_r` | `r0`, `r1` operands → `r0` |
 //! | `g_div15` | `r0` num, `r1` denum → `r0` (Q15) |
-//! | `gsm_lcg_frame` | `r0` out[160], `r1` state ptr (1 word) |
-//! | `gsm_preprocess` | `r0` in[160], `r1` out[160], `r2` state ptr (2 words) |
-//! | `gsm_autocorr` | `r0` p[160], `r1` out L_ACF[9], `r2` scratch[18] |
-//! | `gsm_schur` | `r0` L_ACF[9], `r1` out rc[8], `r2` scratch[27] |
-//! | `gsm_lar` | `r0` rc[8], `r1` out larq[8] |
-//! | `gsm_ltp` | `r0` sub[40], `r1` prev[120], `r2` out[2] (nc, bc), `r3` scratch[160] |
-//! | `gsm_weight` | `r0` sub[40], `r1` out x[40], `r2` scratch[40] |
-//! | `gsm_rpe` | `r0` x[40], `r1` out[15] (grid, exp, xmc[13]) |
+//! | `gsm_lcg_frame` | `r0` `out[160]`, `r1` state ptr (1 word) |
+//! | `gsm_preprocess` | `r0` `in[160]`, `r1` `out[160]`, `r2` state ptr (2 words) |
+//! | `gsm_autocorr` | `r0` `p[160]`, `r1` out `L_ACF[9]`, `r2` `scratch[18]` |
+//! | `gsm_schur` | `r0` `L_ACF[9]`, `r1` out `rc[8]`, `r2` `scratch[27]` |
+//! | `gsm_lar` | `r0` `rc[8]`, `r1` out `larq[8]` |
+//! | `gsm_ltp` | `r0` `sub[40]`, `r1` `prev[120]`, `r2` `out[2]` (nc, bc), `r3` `scratch[160]` |
+//! | `gsm_weight` | `r0` `sub[40]`, `r1` out `x[40]`, `r2` `scratch[40]` |
+//! | `gsm_rpe` | `r0` `x[40]`, `r1` `out[15]` (grid, exp, `xmc[13]`) |
 
 use dmi_isa::{Asm, Cond, Reg};
 

@@ -4,7 +4,7 @@
 //! crate provides that workload end to end:
 //!
 //! * [`basicop`] — ETSI-style saturated fixed-point primitives;
-//! * [`reference`] — the encoder in Rust (preprocessing, autocorrelation,
+//! * [`reference`](mod@reference) — the encoder in Rust (preprocessing, autocorrelation,
 //!   Schur recursion, LAR, LTP, weighting filter, RPE/APCM), with
 //!   documented simplifications listed in `DESIGN.md`;
 //! * [`codegen`] — the same stages as SimARM assembly kernels, bit-exact

@@ -145,10 +145,10 @@ impl McSystem {
     /// [`StopCause`].
     ///
     /// Conditions with watchpoints or no-progress detection run the
-    /// kernel in polling slices of [`poll_every`]
-    /// (StopCondition::poll_every) cycles; pure cycle-budget/all-halted
-    /// conditions run in a single uninterrupted slice (identical to the
-    /// historical `run`).
+    /// kernel in polling slices of
+    /// [`poll_every`](StopCondition::poll_every) cycles; pure
+    /// cycle-budget/all-halted conditions run in a single uninterrupted
+    /// slice (identical to the historical `run`).
     pub fn run_until(&mut self, cond: &StopCondition) -> RunReport {
         let t0 = self.sim.time();
         let stats0 = self.sim.stats();
