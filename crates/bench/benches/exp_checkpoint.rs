@@ -1,10 +1,12 @@
 //! State-capture cost: what a full-system checkpoint costs to take,
-//! serialize and restore as the system grows, and what warm-forking is
-//! worth — M continuations fanned out of one mid-run checkpoint versus
-//! M cold runs that each repeat the warmup.
+//! serialize and restore as the system grows, what the CRC-32 behind
+//! every section checksum and leg fingerprint costs per byte, and what
+//! warm-forking is worth — M continuations fanned out of one mid-run
+//! checkpoint versus M cold runs that each repeat the warmup.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmi_gsm::pipeline::{self, PipelineCfg};
+use dmi_kernel::crc32;
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
     mem_base, CpuSpec, McSystem, MemSpec, Snapshot, StopCondition, SystemBuilder,
@@ -70,6 +72,31 @@ fn save_load_cost(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC-32 throughput over a 1 MiB buffer, the size class of a farm leg's
+/// whole-snapshot fingerprint.
+fn crc32_throughput(c: &mut Criterion) {
+    const LEN: usize = 1 << 20;
+    const REPS: usize = 16;
+    let buf: Vec<u8> = (0..LEN as u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    // Host-time read for the MB/s line only; it feeds no simulation.
+    #[allow(clippy::disallowed_methods)]
+    let t0 = std::time::Instant::now();
+    for _ in 0..REPS {
+        black_box(crc32(black_box(&buf)));
+    }
+    let mb_per_s = (REPS * LEN) as f64 / t0.elapsed().as_secs_f64() / 1e6;
+    eprintln!("exp_checkpoint: crc32 over 1 MiB -> {mb_per_s:.0} MB/s");
+
+    let mut g = c.benchmark_group("exp_checkpoint/crc32");
+    g.sample_size(20);
+    g.bench_function("1MiB", |b| {
+        b.iter(|| crc32(black_box(&buf)));
+    });
+    g.finish();
+}
+
 /// Warm-fork A/B on the headline run: 8 continuations from one
 /// checkpoint at cycle 200k versus 8 cold runs repeating the warmup.
 fn warm_fork(c: &mut Criterion) {
@@ -110,5 +137,5 @@ fn warm_fork(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, save_load_cost, warm_fork);
+criterion_group!(benches, save_load_cost, crc32_throughput, warm_fork);
 criterion_main!(benches);

@@ -8,8 +8,8 @@
 //! The search leans entirely on the PR 7 state-capture guarantees: a
 //! [`Snapshot`] covers the complete architectural state and nothing
 //! host-dependent, so two deterministic systems agree at cycle `c` if
-//! and only if their snapshot bytes at `c` are identical — and once the
-//! bytes differ at some grid point they differ at every later one
+//! and only if their snapshots at `c` are equal — and once the
+//! snapshots differ at some grid point they differ at every later one
 //! (deterministic evolution of distinct states cannot re-converge into
 //! bit-identity while their causes persist; the binary search assumes
 //! exactly this monotonicity).
@@ -54,18 +54,18 @@ impl Divergence {
 
     /// Verifies the repro: restores [`base`](Self::base) into a fresh
     /// instance of each build, runs only the minimized interval, and
-    /// reports whether the divergence reproduces (snapshot bytes
-    /// differ at the end of the interval).
+    /// reports whether the divergence reproduces (the snapshots differ
+    /// at the end of the interval).
     pub fn replay(
         &self,
         build_a: impl Fn() -> McSystem,
         build_b: impl Fn() -> McSystem,
     ) -> bool {
-        let run = |mut sys: McSystem| -> Option<Vec<u8>> {
+        let run = |mut sys: McSystem| -> Option<Snapshot> {
             sys.restore(&self.base).ok()?;
             let upto = self.interval();
             sys.run_until(&StopCondition::cycles(upto));
-            Some(sys.checkpoint().to_bytes())
+            Some(sys.checkpoint())
         };
         match (run(build_a()), run(build_b())) {
             (Some(a), Some(b)) => a != b,
@@ -119,7 +119,7 @@ pub fn bisect_divergence(
 
     let differs_at = |k: u64| -> bool {
         let c = cycle_of(k);
-        snap_at(&build_a, c).to_bytes() != snap_at(&build_b, c).to_bytes()
+        snap_at(&build_a, c) != snap_at(&build_b, c)
     };
 
     if !differs_at(last_k) {

@@ -33,9 +33,11 @@ pub struct ScenarioSpec {
     /// How many times a failed attempt (panic or soft timeout) is
     /// retried before the leg is given up. `0` = one attempt only.
     pub retries: u32,
-    /// Warm-start point: legs sharing a `system` key and this value
-    /// reuse one cached snapshot taken after `warm_cycles` cold cycles
-    /// instead of each re-simulating the warmup prefix.
+    /// Warm-start point: legs sharing a `system` key, this value and
+    /// [`fault_injection`](Self::fault_injection) reuse one cached
+    /// snapshot taken after `warm_cycles` cold cycles instead of each
+    /// re-simulating the warmup prefix. The fault switch is part of the
+    /// key because it is applied before the warmup runs.
     pub warm_cycles: Option<u64>,
     /// Path of an on-disk [`Snapshot`](dmi_kernel::Snapshot) file the
     /// leg starts from instead of a cold build — the file-based cousin

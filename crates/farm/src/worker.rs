@@ -20,7 +20,9 @@ use crate::outcome::ScenarioOutcome;
 use crate::registry::Registry;
 use crate::spec::ScenarioSpec;
 
-/// Shared warm-start snapshots, keyed by `(system key, warm_cycles)`.
+/// Shared warm-start snapshots, keyed by `(system key, warm_cycles,
+/// fault_injection)`: the fault switch is applied before the warmup, so
+/// legs that set it differently simulate different prefixes.
 ///
 /// The lock is held *while warming*, deliberately: when M legs of the
 /// same scenario family start together, exactly one pays for the warmup
@@ -39,8 +41,9 @@ pub struct WarmCache {
     dir: Option<PathBuf>,
 }
 
-/// Cache key: system registry key + warm-prefix cycle count.
-type WarmKey = (String, u64);
+/// Cache key: system registry key, warm-prefix cycle count and the
+/// leg's fault-injection override.
+type WarmKey = (String, u64, Option<bool>);
 
 impl WarmCache {
     /// An empty, in-memory-only cache.
@@ -59,16 +62,22 @@ impl WarmCache {
 
     /// Where a warm snapshot for `key` lives on disk, when a spill
     /// directory is configured.
-    fn spill_path(&self, key: &WarmKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("warm-{:08x}-{}.snap", crc32(key.0.as_bytes()), key.1)))
+    fn spill_path(&self, (system, warm, faults): &WarmKey) -> Option<PathBuf> {
+        let dir = self.dir.as_ref()?;
+        let faults = match faults {
+            None => "",
+            Some(true) => "-faults-on",
+            Some(false) => "-faults-off",
+        };
+        let crc = crc32(system.as_bytes());
+        Some(dir.join(format!("warm-{crc:08x}-{warm}{faults}.snap")))
     }
 
-    /// Brings `sys` to `warm` cycles: restores the cached snapshot if
-    /// one exists (memory first, then the spill directory), otherwise
-    /// simulates the warmup once and caches it in both tiers.
-    fn warm_up(&self, sys: &mut McSystem, system_key: &str, warm: u64) {
+    /// Brings `sys` (already built for `spec`, its fault switch applied)
+    /// to `warm` cycles: restores the cached snapshot if one exists
+    /// (memory first, then the spill directory), otherwise simulates the
+    /// warmup once and caches it in both tiers.
+    fn warm_up(&self, sys: &mut McSystem, spec: &ScenarioSpec, warm: u64) {
         // A worker panic while holding the lock (it cannot happen here —
         // warming runs no probe hooks — but belt and braces) must not
         // wedge every later leg: take the data out of a poisoned lock.
@@ -76,7 +85,7 @@ impl WarmCache {
             .entries
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let key = (system_key.to_string(), warm);
+        let key = (spec.system.clone(), warm, spec.fault_injection);
         if let Some((_, bytes)) = entries.iter().find(|(k, _)| *k == key) {
             if let Ok(snap) = Snapshot::from_bytes(bytes) {
                 if sys.restore(&snap).is_ok() {
@@ -213,7 +222,7 @@ pub(crate) fn run_leg(
                 }
             } else if let Some(w) = spec.warm_cycles {
                 if w > 0 && w < spec.cycles {
-                    warm.warm_up(&mut sys, &spec.system, w);
+                    warm.warm_up(&mut sys, spec, w);
                 }
             }
         }
@@ -289,5 +298,20 @@ pub(crate) fn run_leg(
         fingerprint: leg_fingerprint(&mut sys),
         cycles,
         cause: format!("{cause:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spill_names_carry_the_fault_switch() {
+        let cache = WarmCache::in_dir(PathBuf::from("spill"));
+        let [builder, on, off] = [None, Some(true), Some(false)]
+            .map(|faults| cache.spill_path(&("gsm".to_string(), 500, faults)).unwrap());
+        assert_ne!(builder, on);
+        assert_ne!(builder, off);
+        assert_ne!(on, off);
     }
 }

@@ -11,7 +11,10 @@ use dmi_farm::{
 };
 use dmi_masters::{DmaConfig, DmaEngine, DmaKind};
 use dmi_sw::{workloads, WorkloadCfg};
-use dmi_system::{mem_base, CpuSpec, MemSpec, StopCondition, SystemBuilder};
+use dmi_system::{
+    mem_base, CpuSpec, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTrigger, MemSpec,
+    StopCondition, SystemBuilder,
+};
 
 /// One alloc-churn CPU on a wrapper memory: halts on its own quickly.
 fn quick() -> SystemBuilder {
@@ -23,6 +26,19 @@ fn quick() -> SystemBuilder {
         ..WorkloadCfg::default()
     })));
     b
+}
+
+/// `quick` with every other bus grant stalled five cycles: the fault
+/// switch changes how long it runs.
+fn stalled() -> SystemBuilder {
+    quick().faults(FaultPlan::new(0).with(FaultSpec::new(
+        FaultSite::BusAccess { master: None },
+        FaultTrigger::Every {
+            first: 1,
+            period: 2,
+        },
+        FaultKind::GrantStall { cycles: 5 },
+    )))
 }
 
 /// A scalar CPU plus a bounded DMA fill: deterministic, runs a while.
@@ -61,6 +77,7 @@ fn endless() -> SystemBuilder {
 fn registry() -> Arc<Registry> {
     let mut r = Registry::new();
     r.register("quick", quick);
+    r.register("stalled", stalled);
     r.register("stream", stream);
     r.register("endless", endless);
     Arc::new(r)
@@ -410,5 +427,39 @@ fn warm_start_reproduces_the_cold_fingerprint() {
                 report.summary()
             );
         }
+    }
+}
+
+#[test]
+fn warm_prefix_is_keyed_by_fault_switch() {
+    // One worker runs the legs in catalog order: the faults-on leg warms
+    // the shared cache first, and the faults-off leg after it must not
+    // restore that stalled prefix.
+    let reg = registry();
+    let one_worker = FarmConfig {
+        workers: 1,
+        ..FarmConfig::default()
+    };
+    let mut cold = Catalog::new();
+    cold.push(ScenarioSpec::new("on", "stalled", 200_000).faults(true));
+    cold.push(ScenarioSpec::new("off", "stalled", 200_000).faults(false));
+    let cold = run_farm(&cold, Arc::clone(&reg), &one_worker).expect("cold run");
+    assert_ne!(
+        cold.legs[0].outcome, cold.legs[1].outcome,
+        "the fault switch must change the run"
+    );
+
+    let mut warm = Catalog::new();
+    warm.push(ScenarioSpec::new("on", "stalled", 200_000).warm(500).faults(true));
+    warm.push(ScenarioSpec::new("off", "stalled", 200_000).warm(500).faults(false));
+    let warm = run_farm(&warm, reg, &one_worker).expect("warm run");
+    for (c, w) in cold.legs.iter().zip(&warm.legs) {
+        assert_eq!(
+            w.outcome,
+            c.outcome,
+            "warm leg '{}' diverged from its cold run: {}",
+            w.name,
+            warm.summary()
+        );
     }
 }
