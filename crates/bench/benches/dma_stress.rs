@@ -6,8 +6,9 @@
 //! instruction-stream cost mixed in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dmi_interconnect::BusConfig;
 use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind};
-use dmi_system::{mem_base, InterconnectKind, MemSpec, Preset, SystemBuilder};
+use dmi_system::{mem_base, InterconnectKind, MemSpec, SystemBuilder};
 
 /// Builds and runs `n` fill engines hammering `n_mems` static memories;
 /// returns simulated cycles to completion.
@@ -38,9 +39,12 @@ fn run(n: usize, n_mems: usize, crossbar: bool) -> u64 {
 /// `n` burst-mode fill engines driving one wrapper memory's register
 /// block: every payload word crosses the slave-side banked I/O arrays
 /// (`WriteBurst`/`ReadBurst` + streamed `DATA` beats) instead of scalar
-/// stores, under the chosen interconnect timing preset.
-fn run_burst(n: usize, preset: Preset) -> u64 {
-    let mut b = SystemBuilder::new().preset(preset);
+/// stores, with or without bus grant retention.
+fn run_burst(n: usize, burst_grant: bool) -> u64 {
+    let mut b = SystemBuilder::new().interconnect(InterconnectKind::SharedBus(BusConfig {
+        burst_grant,
+        ..Default::default()
+    }));
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     for i in 0..n {
         b.add_master(Box::new(DmaEngine::new(DmaConfig {
@@ -73,14 +77,14 @@ fn dma_stress(c: &mut Criterion) {
             b.iter(|| run(n, 4.min(n), true));
         });
     }
-    // The burst-capable engines, under both interconnect timing presets
+    // The burst-capable engines with and without grant retention
     // (seed-comparable re-arbitration vs AMBA-style grant retention).
     for n in [1usize, 8] {
         g.bench_with_input(BenchmarkId::new("burst_seed", n), &n, |b, &n| {
-            b.iter(|| run_burst(n, Preset::SeedTiming));
+            b.iter(|| run_burst(n, false));
         });
         g.bench_with_input(BenchmarkId::new("burst_throughput", n), &n, |b, &n| {
-            b.iter(|| run_burst(n, Preset::Throughput));
+            b.iter(|| run_burst(n, true));
         });
     }
     g.finish();

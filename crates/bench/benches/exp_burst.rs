@@ -1,14 +1,17 @@
 //! E6 — I/O-array burst vs scalar transfer bench across burst lengths,
-//! under both interconnect timing presets (seed timing vs throughput's
-//! burst grant retention — the numbers behind the `burst_grant` default
-//! decision in `ROADMAP.md`).
+//! with and without bus grant retention (`BusConfig::burst_grant` — the
+//! numbers behind its default decision in `ROADMAP.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dmi_interconnect::BusConfig;
 use dmi_sw::{workloads, WorkloadCfg};
-use dmi_system::{mem_base, CpuSpec, MemSpec, Preset, SystemBuilder};
+use dmi_system::{mem_base, CpuSpec, InterconnectKind, MemSpec, SystemBuilder};
 
-fn run(prog: dmi_isa::Program, preset: Preset) -> u64 {
-    let mut b = SystemBuilder::new().preset(preset);
+fn run(prog: dmi_isa::Program, burst_grant: bool) -> u64 {
+    let mut b = SystemBuilder::new().interconnect(InterconnectKind::SharedBus(BusConfig {
+        burst_grant,
+        ..Default::default()
+    }));
     b.add_cpu(CpuSpec::new(prog));
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     let mut sys = b.build().expect("burst system");
@@ -28,13 +31,13 @@ fn burst(c: &mut Criterion) {
             ..WorkloadCfg::default()
         };
         g.bench_with_input(BenchmarkId::new("burst", len), &wl, |b, wl| {
-            b.iter(|| run(workloads::burst_copy(wl), Preset::SeedTiming));
+            b.iter(|| run(workloads::burst_copy(wl), false));
         });
         g.bench_with_input(BenchmarkId::new("burst_throughput", len), &wl, |b, wl| {
-            b.iter(|| run(workloads::burst_copy(wl), Preset::Throughput));
+            b.iter(|| run(workloads::burst_copy(wl), true));
         });
         g.bench_with_input(BenchmarkId::new("scalar", len), &wl, |b, wl| {
-            b.iter(|| run(workloads::scalar_copy(wl), Preset::SeedTiming));
+            b.iter(|| run(workloads::scalar_copy(wl), false));
         });
     }
     g.finish();

@@ -54,7 +54,6 @@
 mod backend;
 mod delay;
 mod faults;
-mod gaps;
 mod host;
 mod module;
 mod protocol;

@@ -22,6 +22,10 @@
 //! * [`VptrPolicy::FirstFitReuse`] — first-fit reuse of virtual-address
 //!   gaps left by frees.
 //!
+//! First fit is a linear scan of the sorted entries for the lowest gap
+//! that holds the request, in the same O(live entries) as the insert
+//! and the compaction that each alloc and free already pays.
+//!
 //! ## Translation lookaside cache
 //!
 //! Every simulated memory access funnels through [`PointerTable::resolve`],
@@ -44,7 +48,6 @@
 //! same binary search without it, and `tests/table_props.rs` checks every
 //! cached resolution against `peek` on the same table.
 
-use crate::gaps::GapIndex;
 use crate::host::{HostAlloc, HostStats};
 use crate::protocol::ElemType;
 
@@ -247,9 +250,6 @@ pub struct PointerTable {
     stats: TableStats,
     host_stats: HostStats,
     tlb: Tlb,
-    /// Free-gap index mirroring `entries` (first-fit placement in
-    /// O(log n)); maintained only under [`VptrPolicy::FirstFitReuse`].
-    gaps: Option<GapIndex>,
 }
 
 impl PointerTable {
@@ -263,7 +263,6 @@ impl PointerTable {
             stats: TableStats::default(),
             host_stats: HostStats::default(),
             tlb: Tlb::new(),
-            gaps: (policy == VptrPolicy::FirstFitReuse).then(GapIndex::new_full),
         }
     }
 
@@ -324,36 +323,19 @@ impl PointerTable {
                     .ok_or(AllocError::VirtualExhausted),
             },
             VptrPolicy::FirstFitReuse => {
-                // O(log n) address-ordered first fit over the gap index;
-                // placement outcomes are property-tested identical to the
-                // original linear entry scan (`place_scan`).
-                let placed = self
-                    .gaps
-                    .as_ref()
-                    .expect("gap index exists under FirstFitReuse")
-                    .first_fit(size)
-                    .ok_or(AllocError::VirtualExhausted);
-                debug_assert_eq!(placed, self.place_scan(size), "gap index diverged");
-                placed
+                let mut cursor: u32 = 0;
+                for e in &self.entries {
+                    if e.vptr - cursor >= size {
+                        return Ok(cursor);
+                    }
+                    cursor = e.vptr + e.size; // dense, no overflow: ranges are disjoint in u32
+                }
+                cursor
+                    .checked_add(size)
+                    .map(|_| cursor)
+                    .ok_or(AllocError::VirtualExhausted)
             }
         }
-    }
-
-    /// The original O(live entries) first-fit scan, kept as the oracle the
-    /// gap index is validated against (debug assertions and property
-    /// tests).
-    fn place_scan(&self, size: u32) -> Result<u32, AllocError> {
-        let mut cursor: u32 = 0;
-        for e in &self.entries {
-            if e.vptr - cursor >= size {
-                return Ok(cursor);
-            }
-            cursor = e.vptr + e.size; // dense, no overflow: ranges are disjoint in u32
-        }
-        cursor
-            .checked_add(size)
-            .map(|_| cursor)
-            .ok_or(AllocError::VirtualExhausted)
     }
 
     /// Allocates `dim` elements of `elem`, returning the new vptr.
@@ -399,9 +381,6 @@ impl PointerTable {
             .binary_search_by_key(&vptr, |e| e.vptr)
             .unwrap_err();
         self.entries.insert(pos, entry);
-        if let Some(g) = &mut self.gaps {
-            g.consume(vptr, size);
-        }
         self.used += size;
         self.stats.allocs += 1;
         self.stats.peak_entries = self.stats.peak_entries.max(self.entries.len());
@@ -431,9 +410,6 @@ impl PointerTable {
         }
         // Vec::remove shifts the tail down — the "re-compacted" table.
         let entry = self.entries.remove(idx);
-        if let Some(g) = &mut self.gaps {
-            g.release(entry.vptr, entry.size);
-        }
         self.stats.compactions += 1;
         // The compaction moved entry indices: invalidate the whole TLB in
         // O(1) by bumping its generation.
@@ -599,37 +575,14 @@ impl PointerTable {
         if self.used > self.capacity {
             return Err("used exceeds capacity".into());
         }
-        if let Some(g) = &self.gaps {
-            g.check()?;
-            // The gap index must be the exact complement of the entries.
-            let mut expected: Vec<(u32, u32)> = Vec::new();
-            let mut cursor: u32 = 0;
-            for e in &self.entries {
-                if e.vptr > cursor {
-                    expected.push((cursor, e.vptr - cursor));
-                }
-                cursor = e.vptr + e.size;
-            }
-            if cursor < u32::MAX {
-                expected.push((cursor, u32::MAX - cursor));
-            }
-            if g.collect() != expected {
-                return Err(format!(
-                    "gap index {:x?} != complement of entries {:x?}",
-                    g.collect(),
-                    expected
-                ));
-            }
-        }
         Ok(())
     }
 
     /// Serializes the live allocations (including their host-side
-    /// payload bytes), accounting state, and counters. The TLB and the
-    /// gap index are validated caches and are *reconstructed* on load,
-    /// not serialized; neither are the TLB's hit, miss and invalidation
-    /// counters, which describe the host-side cache and not the
-    /// simulation.
+    /// payload bytes), accounting state, and counters. The TLB is a
+    /// validated cache and is *reconstructed* on load, not serialized;
+    /// neither are its hit, miss and invalidation counters, which
+    /// describe the host-side cache and not the simulation.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -661,8 +614,7 @@ impl PointerTable {
 
     /// Restores state written by [`PointerTable::save_state`] onto a
     /// table with the same configuration, rebuilding the TLB (cold, its
-    /// counters at zero) and the gap index (exact complement of the
-    /// restored entries).
+    /// counters at zero).
     pub fn load_state(
         &mut self,
         r: &mut dmi_kernel::StateReader<'_>,
@@ -725,13 +677,10 @@ impl PointerTable {
         self.host_stats.allocs = r.get_u64("table host.allocs")?;
         self.host_stats.frees = r.get_u64("table host.frees")?;
         self.host_stats.bytes_allocated = r.get_u64("table host.bytes_allocated")?;
-        // Rebuild the validated caches instead of trusting serialized
-        // copies: a cold TLB and the exact free-space complement.
+        // Rebuild the validated cache instead of trusting a serialized
+        // copy: a cold TLB.
         self.tlb = Tlb::new();
         self.tlb.grow_for(self.entries.len());
-        self.gaps = (self.policy == VptrPolicy::FirstFitReuse).then(|| {
-            GapIndex::from_allocated(self.entries.iter().map(|e| (e.vptr, e.size)))
-        });
         self.check_invariants()
             .map_err(|detail| SnapshotError::Corrupt {
                 context: format!("restored pointer table: {detail}"),

@@ -203,12 +203,16 @@ proptest! {
     /// snapshot, which restarts its TLB and per-master hints cold. Both
     /// then run the operation, and status, result and charged cycles must
     /// be bit-identical — the caches may only change host speed, never
-    /// simulated behaviour.
+    /// simulated behaviour. Under first fit the restored wrapper also
+    /// keeps allocating into the gaps of the restored table.
     #[test]
     fn wrapper_equivalent_with_and_without_tlb(
         ops in prop::collection::vec(op_strategy(), 1..100),
+        first_fit in any::<bool>(),
     ) {
-        let mut warm = WrapperBackend::new(WrapperConfig::default());
+        let policy = if first_fit { VptrPolicy::FirstFitReuse } else { VptrPolicy::PaperMonotonic };
+        let cfg = WrapperConfig { policy, ..WrapperConfig::default() };
+        let mut warm = WrapperBackend::new(cfg);
         let req = |op, arg0, arg1, master| Request { op, arg0, arg1, arg2: 0, master };
         let mut live: Vec<u32> = Vec::new();
         for op in ops {
@@ -234,7 +238,7 @@ proptest! {
             let mut w = StateWriter::new();
             warm.save_state(&mut w);
             let snapshot = w.into_bytes();
-            let mut cold = WrapperBackend::new(WrapperConfig::default());
+            let mut cold = WrapperBackend::new(cfg);
             prop_assert!(cold.load_state(&mut StateReader::new(&snapshot)).is_ok());
             let a = warm.execute(&rq);
             let b = cold.execute(&rq);
@@ -304,9 +308,8 @@ proptest! {
 }
 
 /// Independent oracle for first-fit placement: a shadow list of live
-/// `[start, end)` ranges walked linearly, reimplementing the published
-/// rule from scratch (deliberately *not* sharing code with the table's
-/// gap index or its internal scan).
+/// `[start, end)` ranges walked linearly, reimplementing the rule from
+/// scratch (deliberately *not* sharing code with the table's own scan).
 #[derive(Debug, Default)]
 struct LinearOracle {
     ranges: Vec<(u32, u32)>, // sorted by start
@@ -344,8 +347,9 @@ impl LinearOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The O(log n) gap index chooses bit-identical placements to the
-    /// linear first-fit scan over arbitrary alloc/free churn.
+    /// The table's first-fit scan chooses bit-identical placements to
+    /// its independent model, [`LinearOracle`], over arbitrary
+    /// alloc/free churn: always the lowest-addressed gap that fits.
     #[test]
     fn first_fit_gap_index_matches_linear_scan(
         ops in prop::collection::vec(

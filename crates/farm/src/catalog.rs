@@ -158,30 +158,10 @@ impl Catalog {
         parser.finish()?;
         Ok(catalog)
     }
-
-    /// Streams legs out of `reader` one at a time — the same grammar as
-    /// [`parse`](Self::parse), without ever materializing the whole
-    /// catalog. A thousands-of-legs catalog costs one `ScenarioSpec` of
-    /// memory at a time; the farm's dispatcher pulls legs lazily as
-    /// workers go idle (see
-    /// [`run_farm_stream`](crate::run_farm_stream)).
-    ///
-    /// The iterator yields `Err` once for the first offending line (or
-    /// a read failure) and then ends — same first-error semantics as
-    /// `parse`, which is implemented on top of the same line machine.
-    pub fn stream<R: std::io::BufRead>(reader: R) -> CatalogStream<R> {
-        CatalogStream {
-            reader,
-            parser: BlockParser::new(),
-            done: false,
-            line_buf: String::new(),
-        }
-    }
 }
 
-/// The incremental line machine shared by [`Catalog::parse`] and
-/// [`Catalog::stream`]: feed lines, get a [`ScenarioSpec`] back whenever
-/// an `end` closes a block.
+/// The line machine behind [`Catalog::parse`]: feed lines, get a
+/// [`ScenarioSpec`] back whenever an `end` closes a block.
 struct BlockParser {
     /// `(open-line, partially-filled spec, has system, has cycles)`.
     open: Option<(usize, ScenarioSpec, bool, bool)>,
@@ -246,7 +226,10 @@ impl BlockParser {
             }
             "checkpoint_every" => spec.checkpoint_every = Some(parse_u64(ln, key, value)?),
             "deadline_ms" => spec.deadline_ms = Some(parse_u64(ln, key, value)?),
-            "retries" => spec.retries = parse_u64(ln, key, value)? as u32,
+            "retries" => {
+                spec.retries = u32::try_from(parse_u64(ln, key, value)?)
+                    .map_err(|_| err(ln, format!("{key}: {value} exceeds {}", u32::MAX)))?;
+            }
             "warm_cycles" => spec.warm_cycles = Some(parse_u64(ln, key, value)?),
             "warm_snapshot" => {
                 if value.is_empty() {
@@ -273,61 +256,6 @@ impl BlockParser {
             ));
         }
         Ok(())
-    }
-}
-
-/// Lazy catalog iterator returned by [`Catalog::stream`].
-#[derive(Debug)]
-pub struct CatalogStream<R> {
-    reader: R,
-    parser: BlockParser,
-    done: bool,
-    line_buf: String,
-}
-
-impl std::fmt::Debug for BlockParser {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockParser")
-            .field("line_no", &self.line_no)
-            .field("open", &self.open.as_ref().map(|(ln, s, ..)| (ln, &s.name)))
-            .finish()
-    }
-}
-
-impl<R: std::io::BufRead> Iterator for CatalogStream<R> {
-    type Item = Result<ScenarioSpec, CatalogError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            self.line_buf.clear();
-            match self.reader.read_line(&mut self.line_buf) {
-                Ok(0) => {
-                    self.done = true;
-                    return match self.parser.finish() {
-                        Ok(()) => None,
-                        Err(e) => Some(Err(e)),
-                    };
-                }
-                Ok(_) => match self.parser.line(&self.line_buf) {
-                    Ok(Some(spec)) => return Some(Ok(spec)),
-                    Ok(None) => continue,
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                },
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(err(
-                        self.parser.line_no + 1,
-                        format!("read error: {e}"),
-                    )));
-                }
-            }
-        }
     }
 }
 
@@ -399,34 +327,12 @@ mod tests {
 
         let e = Catalog::parse("scenario a\n  cycles = nope\nend\n").unwrap_err();
         assert!(e.message.contains("unsigned integer"), "{e}");
-    }
 
-    #[test]
-    fn stream_yields_the_same_legs_as_parse() {
-        let text = sample().to_text();
-        let parsed = Catalog::parse(&text).unwrap();
-        let streamed: Vec<ScenarioSpec> = Catalog::stream(std::io::Cursor::new(text.as_bytes()))
-            .map(|r| r.expect("streams clean"))
-            .collect();
-        assert_eq!(streamed, parsed.scenarios);
-    }
-
-    #[test]
-    fn stream_surfaces_the_first_error_then_ends() {
-        let text = "scenario a\n  system = s\n  cycles = 5\nend\nbogus\nscenario b\n";
-        let mut it = Catalog::stream(std::io::Cursor::new(text.as_bytes()));
-        assert!(it.next().unwrap().is_ok(), "leg before the error streams");
-        let e = it.next().unwrap().unwrap_err();
-        assert_eq!(e.line, 5);
-        assert!(e.message.contains("stray line"), "{e}");
-        assert!(it.next().is_none(), "errors end the stream");
-
-        // An unclosed block surfaces at EOF, like parse().
-        let text = "scenario a\n  system = s\n  cycles = 1\n";
-        let mut it = Catalog::stream(std::io::Cursor::new(text.as_bytes()));
-        let e = it.next().unwrap().unwrap_err();
-        assert!(e.message.contains("never closed"), "{e}");
-        assert!(it.next().is_none());
+        // 2^32 + 1 would wrap to one retry if cast to u32.
+        let text = "scenario a\n  system = s\n  cycles = 5\n  retries = 4294967297\nend\n";
+        let e = Catalog::parse(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("exceeds 4294967295"), "{e}");
     }
 
     #[test]

@@ -51,13 +51,11 @@ mod supervisor;
 mod worker;
 
 pub use bisect::{bisect_divergence, Divergence};
-pub use catalog::{Catalog, CatalogError, CatalogStream};
+pub use catalog::{Catalog, CatalogError};
 pub use journal::{Journal, JournalError, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use outcome::{LegResult, ScenarioOutcome};
 pub use proc::{run_worker, worker_entry_from_env, WORKER_ENV};
 pub use registry::{Factory, Registry};
 pub use spec::ScenarioSpec;
-pub use supervisor::{
-    panics_caught, run_farm, run_farm_stream, FarmConfig, FarmError, FarmReport, Isolation,
-};
+pub use supervisor::{panics_caught, run_farm, FarmConfig, FarmError, FarmReport, Isolation};
 pub use worker::{leg_fingerprint, WarmCache};

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use dmi_kernel::Snapshot;
 
-use crate::catalog::{Catalog, CatalogError};
+use crate::catalog::Catalog;
 use crate::journal::{Journal, JournalError};
 use crate::outcome::{LegResult, ScenarioOutcome};
 use crate::proc::{spawn_process, ProcWorker, ScratchDir, WireJob};
@@ -151,10 +151,6 @@ pub enum FarmError {
     /// The configured pool size is zero: the run could never make
     /// progress, and silently hanging on an empty pool would be worse.
     NoWorkers,
-    /// A streamed catalog yielded a parse error mid-run (legs already
-    /// finished stay finished; their results are in completed work the
-    /// caller may re-request, but the run as a whole is refused).
-    Catalog(CatalogError),
     /// A worker process could not be spawned.
     Spawn(std::io::Error),
     /// Worker processes died more than
@@ -165,11 +161,6 @@ pub enum FarmError {
         /// Worker deaths counted when the run gave up.
         deaths: u32,
     },
-    /// A journal was configured together with a streamed catalog. The
-    /// journal identifies legs by index in a catalog whose CRC it pins;
-    /// a stream has neither a CRC nor a known leg count up front, so
-    /// the combination is refused rather than mis-resumed.
-    StreamedJournal,
 }
 
 impl std::fmt::Display for FarmError {
@@ -178,13 +169,9 @@ impl std::fmt::Display for FarmError {
             FarmError::Journal(e) => write!(f, "farm journal: {e}"),
             FarmError::WorkersLost => write!(f, "all farm workers lost"),
             FarmError::NoWorkers => write!(f, "farm configured with zero workers"),
-            FarmError::Catalog(e) => write!(f, "streamed catalog: {e}"),
             FarmError::Spawn(e) => write!(f, "cannot spawn worker process: {e}"),
             FarmError::RespawnStorm { deaths } => {
                 write!(f, "respawn storm: {deaths} worker deaths in one run")
-            }
-            FarmError::StreamedJournal => {
-                write!(f, "journaling requires a materialized catalog, not a stream")
             }
         }
     }
@@ -194,7 +181,6 @@ impl std::error::Error for FarmError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FarmError::Journal(e) => Some(e),
-            FarmError::Catalog(e) => Some(e),
             FarmError::Spawn(e) => Some(e),
             _ => None,
         }
@@ -321,8 +307,8 @@ struct InFlight {
     job_id: u64,
     leg: u32,
     attempt: u32,
-    /// The leg's spec, kept supervisor-side so retries and finalization
-    /// never depend on a materialized catalog (streamed dispatch).
+    /// The leg's spec: the retry job and the final result are built
+    /// from it.
     spec: ScenarioSpec,
     started: Instant,
 }
@@ -475,13 +461,16 @@ pub fn run_farm(
     let mut finals: Vec<Option<LegResult>> = vec![None; n];
     let mut skipped = 0usize;
 
-    let journal = match &cfg.journal {
+    let mut journal = match &cfg.journal {
         Some(path) => Some(Journal::open(path, catalog.crc(), n)?),
         None => None,
     };
-    if let Some(j) = &journal {
-        for (i, spec) in catalog.scenarios.iter().enumerate() {
-            if let Some((attempts, outcome)) = j.completed(i) {
+    // Legs still to run, in catalog order; the journal's completed legs
+    // are adopted instead.
+    let mut fresh: VecDeque<u32> = VecDeque::with_capacity(n);
+    for (i, spec) in catalog.scenarios.iter().enumerate() {
+        match journal.as_ref().and_then(|j| j.completed(i)) {
+            Some((attempts, outcome)) => {
                 finals[i] = Some(LegResult {
                     leg: i as u32,
                     name: spec.name.clone(),
@@ -491,54 +480,10 @@ pub fn run_farm(
                 });
                 skipped += 1;
             }
+            None => fresh.push_back(i as u32),
         }
     }
 
-    let mut source = catalog.scenarios.iter().cloned().map(Ok);
-    run_farm_core(&mut source, finals, skipped, journal, registry, cfg)
-}
-
-/// Runs legs pulled lazily from `legs` — typically
-/// [`Catalog::stream`](crate::Catalog::stream) over a file too large to
-/// materialize. Legs are dispatched as workers go idle; at most
-/// pool-size + retry-queue specs are held in memory at once.
-///
-/// Journaling is refused ([`FarmError::StreamedJournal`]): the journal
-/// pins a catalog CRC and leg count a stream cannot provide up front.
-///
-/// # Errors
-///
-/// [`FarmError::Catalog`] the moment the stream yields a parse error
-/// (legs already dispatched still finish first); otherwise see
-/// [`FarmError`].
-pub fn run_farm_stream<I>(
-    legs: I,
-    registry: Arc<Registry>,
-    cfg: &FarmConfig,
-) -> Result<FarmReport, FarmError>
-where
-    I: IntoIterator<Item = Result<ScenarioSpec, CatalogError>>,
-{
-    if cfg.journal.is_some() {
-        return Err(FarmError::StreamedJournal);
-    }
-    let mut source = legs.into_iter();
-    run_farm_core(&mut source, Vec::new(), 0, None, registry, cfg)
-}
-
-/// The dispatch loop shared by [`run_farm`] and [`run_farm_stream`]:
-/// pulls legs lazily from `source` (skipping indices `finals` already
-/// holds — journal adoptions), fans them out over the pool, supervises
-/// retries / hard deadlines / worker deaths, and finalizes results in
-/// leg order.
-fn run_farm_core(
-    source: &mut dyn Iterator<Item = Result<ScenarioSpec, CatalogError>>,
-    mut finals: Vec<Option<LegResult>>,
-    skipped: usize,
-    mut journal: Option<Journal>,
-    registry: Arc<Registry>,
-    cfg: &FarmConfig,
-) -> Result<FarmReport, FarmError> {
     let pool = cfg.pool_size();
     if pool == 0 {
         return Err(FarmError::NoWorkers);
@@ -591,8 +536,6 @@ fn run_farm_core(
     let mut delayed: Vec<(Instant, Job)> = Vec::new();
     let mut respawns_due: Vec<Instant> = Vec::new();
     let mut next_job_id = 0u64;
-    let mut next_leg = 0u32;
-    let mut source_done = false;
     let mut retried = 0u32;
     let mut abandoned = 0u32;
     let mut worker_deaths = 0u32;
@@ -630,22 +573,26 @@ fn run_farm_core(
             }
 
             // Dispatch to idle workers: queued retries first, then
-            // fresh legs pulled lazily off the source.
+            // fresh legs in catalog order.
             for slot in workers.iter_mut() {
                 if slot.inflight.is_some() {
                     continue;
                 }
                 let job = match pending.pop_front() {
-                    Some(job) => Some(job),
-                    None => pull_next_leg(
-                        source,
-                        &mut source_done,
-                        &mut next_leg,
-                        &mut finals,
-                        &mut next_job_id,
-                    )?,
+                    Some(job) => job,
+                    None => {
+                        let Some(leg) = fresh.pop_front() else { break };
+                        let job = Job {
+                            job_id: next_job_id,
+                            leg,
+                            attempt: 0,
+                            spec: catalog.scenarios[leg as usize].clone(),
+                            resume: None,
+                        };
+                        next_job_id += 1;
+                        job
+                    }
                 };
-                let Some(job) = job else { break };
                 slot.inflight = Some(InFlight {
                     job_id: job.job_id,
                     leg: job.leg,
@@ -750,7 +697,7 @@ fn run_farm_core(
             }
 
             let inflight_any = workers.iter().any(|w| w.inflight.is_some());
-            if source_done && !inflight_any && pending.is_empty() && delayed.is_empty() {
+            if fresh.is_empty() && !inflight_any && pending.is_empty() && delayed.is_empty() {
                 return Ok(());
             }
 
@@ -881,45 +828,6 @@ fn run_farm_core(
         abandoned,
         worker_deaths,
     })
-}
-
-/// Pulls the next not-yet-completed leg off the source, growing
-/// `finals` to cover it. Legs the journal already adopted are skipped
-/// here (their `finals` slot is occupied).
-fn pull_next_leg(
-    source: &mut dyn Iterator<Item = Result<ScenarioSpec, CatalogError>>,
-    source_done: &mut bool,
-    next_leg: &mut u32,
-    finals: &mut Vec<Option<LegResult>>,
-    next_job_id: &mut u64,
-) -> Result<Option<Job>, FarmError> {
-    if *source_done {
-        return Ok(None);
-    }
-    loop {
-        let Some(item) = source.next() else {
-            *source_done = true;
-            return Ok(None);
-        };
-        let spec = item.map_err(FarmError::Catalog)?;
-        let leg = *next_leg;
-        *next_leg += 1;
-        if finals.len() < *next_leg as usize {
-            finals.resize(*next_leg as usize, None);
-        }
-        if finals[leg as usize].is_some() {
-            continue; // adopted from the journal
-        }
-        let job_id = *next_job_id;
-        *next_job_id += 1;
-        return Ok(Some(Job {
-            job_id,
-            leg,
-            attempt: 0,
-            spec,
-            resume: None,
-        }));
-    }
 }
 
 /// A `ResumeFrom::File` pointing at the leg's checkpoint file, if the

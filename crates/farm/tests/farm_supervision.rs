@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dmi_farm::{
-    panics_caught, run_farm, run_farm_stream, Catalog, FarmConfig, FarmError, Registry,
-    ScenarioOutcome, ScenarioSpec,
+    panics_caught, run_farm, Catalog, FarmConfig, FarmError, Registry, ScenarioOutcome,
+    ScenarioSpec,
 };
 use dmi_masters::{DmaConfig, DmaEngine, DmaKind};
 use dmi_sw::{workloads, WorkloadCfg};
@@ -336,56 +336,6 @@ fn warm_snapshot_file_reproduces_the_cold_fingerprint() {
         other => panic!("expected Failed, got {other:?}"),
     }
     assert_eq!(report.legs[0].attempts, 1, "spec errors are not retried");
-}
-
-#[test]
-fn streamed_catalog_runs_identically_to_a_materialized_one() {
-    let mut catalog = Catalog::new();
-    catalog.push(ScenarioSpec::new("quick-a", "quick", 200_000));
-    catalog.push(ScenarioSpec::new("stream-a", "stream", 60_000).checkpoint(10_000));
-    catalog.push(ScenarioSpec::new("stream-b", "stream", 2_000));
-    catalog.push(ScenarioSpec::new("quick-b", "quick", 200_000).checkpoint(25_000));
-
-    let reg = registry();
-    let materialized =
-        run_farm(&catalog, Arc::clone(&reg), &FarmConfig::default()).expect("materialized");
-
-    let text = catalog.to_text();
-    let streamed = run_farm_stream(
-        Catalog::stream(std::io::Cursor::new(text)),
-        Arc::clone(&reg),
-        &FarmConfig::default(),
-    )
-    .expect("streamed");
-    assert_eq!(materialized.legs.len(), streamed.legs.len());
-    for (m, s) in materialized.legs.iter().zip(&streamed.legs) {
-        assert_eq!(m.name, s.name);
-        assert_eq!(m.outcome, s.outcome, "dispatch laziness must not matter");
-    }
-
-    // A stream that errors mid-way surfaces the catalog error, typed.
-    let err = run_farm_stream(
-        Catalog::stream(std::io::Cursor::new("[leg]\nstray")),
-        Arc::clone(&reg),
-        &FarmConfig::default(),
-    )
-    .expect_err("parse error must surface");
-    assert!(matches!(err, FarmError::Catalog(_)), "{err}");
-
-    // Journaling a stream is refused: the journal pins a catalog CRC a
-    // stream cannot provide.
-    let mut path = std::env::temp_dir();
-    path.push("dmi-farm-stream.journal");
-    let err = run_farm_stream(
-        Catalog::stream(std::io::Cursor::new("")),
-        reg,
-        &FarmConfig {
-            journal: Some(path),
-            ..FarmConfig::default()
-        },
-    )
-    .expect_err("stream + journal must be refused");
-    assert!(matches!(err, FarmError::StreamedJournal), "{err}");
 }
 
 #[test]

@@ -175,27 +175,6 @@ impl MemSpec {
     }
 }
 
-/// Interconnect timing presets: the builder-level answer to "which
-/// `burst_grant` default?".
-///
-/// * [`SeedTiming`](Preset::SeedTiming) — the timing every cycle count in
-///   the repo's experiment trajectory was recorded under: grant retention
-///   off, each transaction re-arbitrates. **The default.**
-/// * [`Throughput`](Preset::Throughput) — AMBA-style grant retention on
-///   ([`BusConfig::burst_grant`](dmi_interconnect::BusConfig::burst_grant)):
-///   consecutive same-master/same-slave transfers skip the re-arbitration
-///   penalty. Fewer simulated cycles for burst-heavy traffic; cycle counts
-///   are *not* comparable with seed-timing runs.
-///
-/// Measured numbers for both presets are recorded in `ROADMAP.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preset {
-    /// Seed-comparable timing (grant retention off).
-    SeedTiming,
-    /// Burst-friendly timing (grant retention on).
-    Throughput,
-}
-
 /// Why a [`SystemBuilder::build`] call rejected the description.
 #[derive(Debug)]
 pub enum BuildError {
@@ -327,7 +306,6 @@ pub struct SystemBuilder {
     pub(crate) masters: Vec<MasterSlot>,
     pub(crate) mems: Vec<MemSpec>,
     pub(crate) interconnect: InterconnectKind,
-    pub(crate) preset: Option<Preset>,
     pub(crate) faults: Option<FaultPlan>,
 }
 
@@ -346,7 +324,6 @@ impl SystemBuilder {
             masters: Vec::new(),
             mems: Vec::new(),
             interconnect: InterconnectKind::SharedBus(Default::default()),
-            preset: None,
             faults: None,
         }
     }
@@ -375,13 +352,6 @@ impl SystemBuilder {
     /// Selects the interconnect topology and configuration.
     pub fn interconnect(mut self, kind: InterconnectKind) -> Self {
         self.interconnect = kind;
-        self
-    }
-
-    /// Applies a timing [`Preset`] on top of the current interconnect
-    /// choice (at build time, after [`interconnect`](Self::interconnect)).
-    pub fn preset(mut self, preset: Preset) -> Self {
-        self.preset = Some(preset);
         self
     }
 
@@ -512,17 +482,6 @@ impl SystemBuilder {
         // Lowered before the description is consumed; the built system
         // answers `McSystem::analyze` from this graph.
         let graph = crate::analysis::lower(&self, &[]);
-        let interconnect = match (self.interconnect, self.preset) {
-            (kind, None) => kind,
-            (InterconnectKind::SharedBus(mut cfg), Some(p)) => {
-                cfg.burst_grant = p == Preset::Throughput;
-                InterconnectKind::SharedBus(cfg)
-            }
-            (InterconnectKind::Crossbar(mut cfg), Some(p)) => {
-                cfg.burst_grant = p == Preset::Throughput;
-                InterconnectKind::Crossbar(cfg)
-            }
-        };
 
         // The shared fault controller (one per system: every site draws
         // from the same seeded plan, so cross-site trigger order is
@@ -640,7 +599,7 @@ impl SystemBuilder {
         }
 
         // Interconnect.
-        let (bus_id, crossbar) = match interconnect {
+        let (bus_id, crossbar) = match self.interconnect {
             InterconnectKind::SharedBus(bus_cfg) => {
                 let mut bus = SharedBus::new("bus", clk, master_ifs, slave_ifs, map, bus_cfg);
                 if let Some(hook) = &fault_hook {

@@ -9,9 +9,10 @@ use std::time::Duration;
 
 use dmi_core::{SimHeapConfig, WrapperConfig};
 use dmi_gsm::pipeline::{self, PipelineCfg};
+use dmi_interconnect::BusConfig;
 use dmi_sw::{workloads, WorkloadCfg};
 
-use crate::{mem_base, CpuSpec, MemModelKind, MemSpec, Preset, RunReport, SystemBuilder};
+use crate::{mem_base, CpuSpec, InterconnectKind, MemModelKind, MemSpec, RunReport, SystemBuilder};
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -259,10 +260,10 @@ pub fn e6_burst(iterations: u32, burst_len: u32) -> Experiment {
     }
 }
 
-/// E9 — interconnect timing presets: [`Preset::SeedTiming`] vs
-/// [`Preset::Throughput`] (burst grant retention) on the burst workload.
-/// The measured numbers behind the `burst_grant` default decision are
-/// recorded in `ROADMAP.md`.
+/// E9 — bus grant retention off (the default timing) vs on
+/// ([`BusConfig::burst_grant`]) on the burst workload. The measured
+/// numbers behind the `burst_grant` default decision are recorded in
+/// `ROADMAP.md`.
 pub fn e9_presets(iterations: u32, burst_len: u32) -> Experiment {
     let wl = WorkloadCfg {
         mem_base: mem_base(0),
@@ -272,17 +273,20 @@ pub fn e9_presets(iterations: u32, burst_len: u32) -> Experiment {
     };
     let mut rows = Vec::new();
     let mut cycles = [0u64; 2];
-    for (i, (label, preset)) in [
-        ("seed timing (no grant retention)", Preset::SeedTiming),
-        ("throughput (burst grant retention)", Preset::Throughput),
+    for (i, (label, burst_grant)) in [
+        ("seed timing (no grant retention)", false),
+        ("throughput (burst grant retention)", true),
     ]
     .into_iter()
     .enumerate()
     {
-        let mut b = SystemBuilder::new().preset(preset);
+        let mut b = SystemBuilder::new().interconnect(InterconnectKind::SharedBus(BusConfig {
+            burst_grant,
+            ..Default::default()
+        }));
         b.add_cpu(CpuSpec::new(workloads::burst_copy(&wl)));
         b.add_memory(MemSpec::wrapper(mem_base(0)));
-        let r = b.build().expect("preset system").run(u64::MAX / 4);
+        let r = b.build().expect("burst system").run(u64::MAX / 4);
         cycles[i] = r.sim_cycles;
         rows.push(ExpRow::from_report(
             format!("{label}, {burst_len} words × {iterations}"),
@@ -292,7 +296,7 @@ pub fn e9_presets(iterations: u32, burst_len: u32) -> Experiment {
     let saved = 100.0 * (1.0 - cycles[1] as f64 / cycles[0] as f64);
     Experiment {
         id: "E9",
-        title: "Interconnect timing presets: seed timing vs throughput",
+        title: "Bus grant retention: seed timing vs throughput",
         rows,
         notes: format!(
             "Grant retention removes the re-arbitration cycle of consecutive \

@@ -49,7 +49,7 @@ mod run_ctl;
 
 pub use build::McSystem;
 pub use builder::{
-    BuildError, CpuHandle, CpuSpec, MasterHandle, MemHandle, MemSpec, Preset, SystemBuilder,
+    BuildError, CpuHandle, CpuSpec, MasterHandle, MemHandle, MemSpec, SystemBuilder,
     DEFAULT_LOCAL_MEM,
 };
 pub use dmi_analyze::{

@@ -5,10 +5,11 @@
 //!   builds, runs and stops on its own completion;
 //! * typed run control: watchpoints, no-progress detection, snapshots.
 
+use dmi_interconnect::{BusConfig, CrossbarConfig};
 use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind};
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
-    mem_base, BuildError, CpuSpec, InterconnectKind, MemSpec, Preset, StopCause, StopCondition,
+    mem_base, BuildError, CpuSpec, InterconnectKind, MemSpec, StopCause, StopCondition,
     SystemBuilder, MEM_WINDOW,
 };
 
@@ -313,25 +314,25 @@ fn presets_toggle_grant_retention() {
         burst_len: 32,
         ..WorkloadCfg::default()
     };
-    let run_with = |preset| {
-        let mut b = SystemBuilder::new().preset(preset);
+    let run_with = |burst_grant| {
+        let mut b = SystemBuilder::new().interconnect(grant_retention(burst_grant));
         b.add_memory(MemSpec::wrapper(mem_base(0)));
         b.add_cpu(CpuSpec::new(workloads::burst_copy(&wl)));
         let mut sys = b.build().unwrap();
         sys.run(u64::MAX / 4)
     };
-    let seed = run_with(Preset::SeedTiming);
-    let thr = run_with(Preset::Throughput);
+    let seed = run_with(false);
+    let thr = run_with(true);
     assert!(seed.all_ok() && thr.all_ok());
     assert_eq!(seed.bus.retained_grants, 0, "seed timing retains nothing");
-    assert!(thr.bus.retained_grants > 0, "throughput preset retains grants");
+    assert!(thr.bus.retained_grants > 0, "burst_grant retains grants");
     assert!(
         thr.sim_cycles < seed.sim_cycles,
         "retention saves simulated cycles: {} vs {}",
         thr.sim_cycles,
         seed.sim_cycles
     );
-    // Seed timing is the default (no preset = same cycles).
+    // Seed timing is the default (a default bus = same cycles).
     let mut b = SystemBuilder::new();
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_cpu(CpuSpec::new(workloads::burst_copy(&wl)));
@@ -344,8 +345,8 @@ fn burst_dma_exercises_the_io_array_path_under_both_presets() {
     // Two burst-mode fill engines allocate their own blocks in one
     // wrapper memory and stream them through WriteBurst/ReadBurst DATA
     // beats — the slave-side banked I/O arrays — with self-verification.
-    let run_with = |preset, engines: u32| {
-        let mut b = SystemBuilder::new().preset(preset);
+    let run_with = |burst_grant, engines: u32| {
+        let mut b = SystemBuilder::new().interconnect(grant_retention(burst_grant));
         let mem = b.add_memory(MemSpec::wrapper(mem_base(0)));
         for i in 0..engines {
             b.add_master(Box::new(DmaEngine::new(DmaConfig {
@@ -365,8 +366,8 @@ fn burst_dma_exercises_the_io_array_path_under_both_presets() {
         let report = sys.run(10_000_000);
         (report, sys, mem)
     };
-    let (seed, seed_sys, seed_mem) = run_with(Preset::SeedTiming, 2);
-    let (thr, _, _) = run_with(Preset::Throughput, 2);
+    let (seed, seed_sys, seed_mem) = run_with(false, 2);
+    let (thr, _, _) = run_with(true, 2);
     for r in [&seed, &thr] {
         assert!(r.all_ok(), "{}", r.summary());
         for m in &r.masters {
@@ -381,7 +382,7 @@ fn burst_dma_exercises_the_io_array_path_under_both_presets() {
     assert_eq!(seed.bus.retained_grants, 0);
     // With two contending masters the arbiter alternates grants, so
     // retention shows on a solo engine's uncontended MMIO stream.
-    let (thr_solo, _, _) = run_with(Preset::Throughput, 1);
+    let (thr_solo, _, _) = run_with(true, 1);
     assert!(
         thr_solo.bus.retained_grants > 0,
         "retention engages on MMIO streams"
@@ -406,9 +407,12 @@ fn crossbar_preset_applies_too() {
         burst_len: 16,
         ..WorkloadCfg::default()
     };
-    let mut b = SystemBuilder::new()
-        .interconnect(InterconnectKind::Crossbar(dmi_interconnect_crossbar_cfg()))
-        .preset(Preset::Throughput);
+    // A nonzero arbitration latency gives grant retention a phase to skip.
+    let mut b = SystemBuilder::new().interconnect(InterconnectKind::Crossbar(CrossbarConfig {
+        arbitration_latency: 1,
+        burst_grant: true,
+        ..Default::default()
+    }));
     b.add_memory(MemSpec::wrapper(mem_base(0)));
     b.add_cpu(CpuSpec::new(workloads::burst_copy(&wl)));
     let mut sys = b.build().unwrap();
@@ -417,13 +421,12 @@ fn crossbar_preset_applies_too() {
     assert!(r.bus.retained_grants > 0);
 }
 
-/// Crossbar config with a nonzero arbitration latency, so grant
-/// retention has a phase to skip.
-fn dmi_interconnect_crossbar_cfg() -> dmi_interconnect::CrossbarConfig {
-    dmi_interconnect::CrossbarConfig {
-        arbitration_latency: 1,
+/// The default shared bus with grant retention on or off.
+fn grant_retention(burst_grant: bool) -> InterconnectKind {
+    InterconnectKind::SharedBus(BusConfig {
+        burst_grant,
         ..Default::default()
-    }
+    })
 }
 
 #[test]
