@@ -9,10 +9,14 @@
 //! slot min-scan.
 //!
 //! Each configuration is measured twice: `fast` (the default: calendar,
-//! quiet toggles, batched dispatch) and `reference`
-//! (`set_clock_specialization(false)`: queued toggles, full commit scan,
-//! one `Ctx` per wake), on the same simulated tick budget. The two
-//! paths are asserted simulation-bit-identical (`KernelStats`) before
+//! edge path, batched dispatch) and `reference`
+//! (`set_clock_specialization(false)`: queued toggles, every toggle
+//! written, committed and scanned, one `Ctx` per wake), on the same
+//! simulated tick budget. Edges that coincide with another domain's
+//! edge are not alone at their tick and take the fast path's general
+//! loop (an ordinary write and commit scan) instead of the edge path,
+//! so this bench is also where that fallback is timed. The two paths
+//! are asserted simulation-bit-identical (`KernelStats`) before
 //! measurement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

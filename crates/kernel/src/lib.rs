@@ -17,23 +17,23 @@
 //! * **VCD tracing** of any subset of signals.
 //!
 //! The clocked hot path is specialized end to end (see `README.md` and
-//! `sim.rs`): subscriber wakes produced by a delta's update phase are
-//! carried directly to the next delta in a scratch list instead of
-//! round-tripping through the priority queue, carried wakes of one edge
-//! are dispatched through a single reusable [`Ctx`] frame, a clock
-//! toggle whose edge provably has no observer (per-signal
-//! edge-subscriber summaries) skips the commit scan and wake pass
-//! entirely, and periodic clock toggles live in a per-clock *calendar*
+//! `sim.rs`): periodic clock toggles live in a per-clock *calendar*
 //! compared against the queue head by virtual sequence numbers, so they
-//! never enter the event queue at all.
+//! never enter the event queue; a clock edge that is the only work at
+//! its tick takes the *edge path*, flipping in place and handing a
+//! fan-out precomputed at subscription time to the next delta (every
+//! other toggle is an ordinary write); subscriber wakes are carried to
+//! the next delta in a scratch list instead of through the priority
+//! queue; and the carried wakes of one edge are dispatched through a
+//! single reusable [`Ctx`] frame.
 //! Dispatch order is provably identical to the reference path, which
 //! stays available for differential testing behind one switch
 //! (`DMI_KERNEL_SPECIALIZE=0` or
 //! [`Simulator::set_clock_specialization`]`(false)`: queued clock
-//! toggles, the full commit scan, one `Ctx` per wake — like the ISS's
-//! `DMI_PREDECODE=0`). A snapshot does not record which path ran. The
-//! event queue is a binary heap (`EventQueue` in `event.rs`), the
-//! kernel's only queue.
+//! toggles, every toggle written, committed and scanned, one `Ctx` per
+//! wake — like the ISS's `DMI_PREDECODE=0`). A snapshot does not record
+//! which path ran. The event queue is a binary heap (`EventQueue` in
+//! `event.rs`), the kernel's only queue.
 //!
 //! ## Quickstart
 //!

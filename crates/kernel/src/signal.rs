@@ -80,12 +80,6 @@ impl Edge {
     }
 }
 
-/// Bit set in a slot's subscriber summary when any `Rising` or `Any`
-/// subscription exists (a 0→1 commit can wake someone).
-const SUBS_RISING: u8 = 0b01;
-/// Bit set when any `Falling` or `Any` subscription exists.
-const SUBS_FALLING: u8 = 0b10;
-
 #[derive(Debug)]
 struct Slot {
     name: String,
@@ -95,11 +89,6 @@ struct Slot {
     next: u64,
     dirty: bool,
     subs: Vec<(ComponentId, Edge)>,
-    /// Edge-direction summary of `subs` ([`SUBS_RISING`] /
-    /// [`SUBS_FALLING`]), maintained by [`SignalBoard::subscribe`] so the
-    /// simulator's clock path can prove a toggle cannot wake anyone
-    /// without scanning the subscriber list.
-    sub_mask: u8,
     traced: bool,
 }
 
@@ -157,7 +146,6 @@ impl SignalBoard {
             next: 0,
             dirty: false,
             subs: Vec::new(),
-            sub_mask: 0,
             traced: false,
         });
         Wire { id, width }
@@ -210,64 +198,21 @@ impl SignalBoard {
             "edge-filtered subscription on multi-bit signal {}",
             slot.name
         );
-        slot.sub_mask |= match edge {
-            Edge::Rising => SUBS_RISING,
-            Edge::Falling => SUBS_FALLING,
-            Edge::Any => SUBS_RISING | SUBS_FALLING,
-        };
         slot.subs.push((component, edge));
     }
 
-    /// Attempts to begin a *quiet toggle* of a 1-bit signal: a commit in
-    /// the given direction that provably has no observer — no subscriber
-    /// whose edge filter matches, no tracer, and no write already pending
-    /// this delta. On success the write is counted (so board counters
-    /// match the ordinary path) and the caller must later finish it with
-    /// [`apply_quiet_toggle`](Self::apply_quiet_toggle) at the end of the
-    /// delta, or park it with
-    /// [`requeue_quiet_toggle`](Self::requeue_quiet_toggle) if the run
-    /// breaks off mid-delta.
+    /// Toggles a 1-bit signal in place as a delta of its own, counted as
+    /// the write and the commit the ordinary path would perform, and
+    /// returns the new value. No other write may be pending.
     #[inline]
-    pub(crate) fn try_begin_quiet_toggle(&mut self, wire: Wire, rising: bool) -> bool {
+    pub(crate) fn flip_alone(&mut self, wire: Wire) -> u64 {
+        debug_assert!(self.pending.is_empty(), "flip_alone with writes pending");
         let slot = &mut self.slots[wire.id.index()];
-        let watched = if rising { SUBS_RISING } else { SUBS_FALLING };
-        if slot.dirty || slot.traced || slot.sub_mask & watched != 0 {
-            return false;
-        }
-        self.writes_total += 1;
-        true
-    }
-
-    /// Completes a quiet toggle at the end of its delta: flips the
-    /// committed value in place, bypassing the pending list (the
-    /// transition has no observer, so no [`Change`] is produced). A write
-    /// issued to the same signal later in the delta wins instead —
-    /// exactly the last-write-wins rule of the ordinary path, where the
-    /// toggle's write came first.
-    #[inline]
-    pub(crate) fn apply_quiet_toggle(&mut self, wire: Wire) {
-        let slot = &mut self.slots[wire.id.index()];
-        if slot.dirty {
-            return;
-        }
         slot.cur ^= 1;
         slot.next = slot.cur;
-    }
-
-    /// Converts a still-deferred quiet toggle back into an ordinary
-    /// pending write (for runs that break off before the delta's update
-    /// phase): the resumed run's first commit then applies it exactly
-    /// where the unspecialized path would have. Respects last-write-wins
-    /// the same way as [`apply_quiet_toggle`](Self::apply_quiet_toggle);
-    /// the write was already counted when the toggle began.
-    pub(crate) fn requeue_quiet_toggle(&mut self, wire: Wire) {
-        let slot = &mut self.slots[wire.id.index()];
-        if slot.dirty {
-            return;
-        }
-        slot.next = (slot.cur ^ 1) & slot.mask;
-        slot.dirty = true;
-        self.pending.push(wire.id);
+        self.writes_total += 1;
+        self.commits_total += 1;
+        slot.cur
     }
 
     /// Commits all pending writes, appending actual changes to `out`.
@@ -290,6 +235,12 @@ impl SignalBoard {
             }
         }
         changed
+    }
+
+    /// Sizes the pending-write list for every signal (each is pending
+    /// at most once per delta), so no write has to grow it.
+    pub(crate) fn reserve_pending(&mut self) {
+        self.pending.reserve(self.slots.len().saturating_sub(self.pending.len()));
     }
 
     /// Whether any write is pending (committed or not it may be a no-op).

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use crate::component::{Component, ComponentId, Wake};
 use crate::ctx::{Ctx, StopReason};
 use crate::event::{Event, EventKind, EventQueue};
-use crate::signal::{Change, Edge, SignalBoard, Wire};
+use crate::signal::{Change, Edge, SignalBoard, SignalId, Wire};
 use crate::stats::{FastPathStats, KernelStats};
 use crate::time::SimTime;
 use crate::trace::Tracer;
@@ -95,6 +95,12 @@ impl RunSummary {
 struct ClockDef {
     wire: Wire,
     half_period: u64,
+    /// The wakes one edge of this clock produces, indexed by the clock's
+    /// new value (`[falling, rising]`): the subscribers whose filter
+    /// matches that edge, each once, in subscription order — exactly
+    /// what the commit scan would carry to the next delta.
+    /// [`Simulator::subscribe`] keeps it current.
+    fanout: [Vec<(ComponentId, SignalId)>; 2],
 }
 
 /// One clock's pending toggle in the clock calendar: when it fires and
@@ -119,10 +125,10 @@ pub enum QueueKind {
 }
 
 /// Default for the kernel's clocked fast paths (the clock calendar, the
-/// edge-summary quiet toggles and the batched same-edge dispatch), read
-/// from the `DMI_KERNEL_SPECIALIZE` environment variable: `0` or `off`
-/// selects the reference path (queued clock toggles, the full commit
-/// scan, one `Ctx` per wake). On by default.
+/// edge path and the batched same-edge dispatch), read from the
+/// `DMI_KERNEL_SPECIALIZE` environment variable: `0` or `off` selects
+/// the reference path (queued clock toggles, every toggle written,
+/// committed and scanned, one `Ctx` per wake). On by default.
 ///
 /// The reference path is kept purely so differential tests (and CI) can
 /// pin the fast paths bit-identical to it — like `DMI_PREDECODE=0` for
@@ -185,10 +191,10 @@ pub struct Simulator {
     stats: KernelStats,
     tracer: Tracer,
     delta_limit: u32,
-    /// Whether the clocked fast paths (clock calendar, edge-summary
-    /// quiet toggles, batched same-edge dispatch) are active; the
-    /// `false` path is the reference implementation kept for
-    /// differential testing. See [`clock_specialization_default`].
+    /// Whether the clocked fast paths (clock calendar, edge path,
+    /// batched same-edge dispatch) are active; the `false` path is the
+    /// reference implementation kept for differential testing. See
+    /// [`clock_specialization_default`].
     specialize: bool,
     /// Per-clock next-toggle slots, parallel to `clocks`, armed only on
     /// the fast path. A slot holds the toggle's fire time and its
@@ -212,11 +218,7 @@ pub struct Simulator {
     /// always precede the update phase's wakes in sequence number), but
     /// the ~one-wake-per-subscriber-per-edge traffic skips the priority
     /// queue entirely — the single hottest path of clocked systems.
-    pending_wakes: Vec<(ComponentId, crate::signal::SignalId)>,
-    /// Clock wires whose current-delta toggle was proven unobservable
-    /// (no matching edge subscriber, no tracer, no competing write) and
-    /// deferred to the update phase as a quiet in-place flip.
-    fast_toggles: Vec<Wire>,
+    pending_wakes: Vec<(ComponentId, SignalId)>,
 }
 
 impl std::fmt::Debug for dyn Component {
@@ -252,7 +254,6 @@ impl Simulator {
             woken: Vec::new(),
             woken_list: Vec::new(),
             pending_wakes: Vec::new(),
-            fast_toggles: Vec::new(),
         }
     }
 
@@ -277,9 +278,9 @@ impl Simulator {
         }
     }
 
-    /// Number of clock toggles that took the quiet fast path (skipped
-    /// commit scan and wake pass) since construction or the last
-    /// restore.
+    /// Number of clock toggles that took the edge path and woke nobody
+    /// (see [`FastPathStats::quiet_toggles`]) since construction or the
+    /// last restore.
     pub fn quiet_toggles(&self) -> u64 {
         self.fast.quiet_toggles
     }
@@ -290,8 +291,9 @@ impl Simulator {
         self.fast.calendar_toggles
     }
 
-    /// Cumulative fast-path counters (total toggles, quiet flips,
-    /// calendar dispatches) since construction or the last restore.
+    /// Cumulative fast-path counters (total toggles, quiet edge-path
+    /// toggles, calendar dispatches) since construction or the last
+    /// restore.
     /// Unlike [`stats`](Self::stats), these *describe which path ran*
     /// and so legitimately differ between the reference and fast paths;
     /// they are not part of a snapshot.
@@ -349,11 +351,19 @@ impl Simulator {
     /// Subscribes a component to changes of `wire` matching `edge`.
     pub fn subscribe(&mut self, component: ComponentId, wire: Wire, edge: Edge) {
         self.signals.subscribe(wire, component, edge);
+        if let Some(clock) = self.clocks.iter_mut().find(|c| c.wire == wire) {
+            for (new, fanout) in (0u64..).zip(&mut clock.fanout) {
+                if edge.matches(new ^ 1, new) && fanout.iter().all(|&(c, _)| c != component) {
+                    fanout.push((component, wire.id()));
+                }
+            }
+        }
     }
 
     /// Creates a kernel-managed clock signal with the given full period in
-    /// ticks. The clock starts low; its first rising edge fires at
-    /// `t = period`, then edges alternate every `period / 2`.
+    /// ticks. The clock starts low; its first rising edge fires `period`
+    /// ticks after the current time (at `t = period` for a clock added
+    /// before the first run), then edges alternate every `period / 2`.
     ///
     /// # Panics
     ///
@@ -368,8 +378,9 @@ impl Simulator {
         self.clocks.push(ClockDef {
             wire,
             half_period: period / 2,
+            fanout: [Vec::new(), Vec::new()],
         });
-        let first = SimTime::from_ticks(period);
+        let first = self.time + period;
         if self.specialize {
             let seq = self.queue.alloc_seq();
             self.calendar.push(Some((first, seq)));
@@ -512,12 +523,12 @@ impl Simulator {
     /// Takes `&mut self` because the queue is drained in order and
     /// refilled in place — the simulator is unchanged when this
     /// returns. Must be called between runs (never from inside a
-    /// `wake`); carried-wake and quiet-toggle scratch state is provably
-    /// empty there and is not serialized.
+    /// `wake`); carried-wake scratch state is provably empty there and
+    /// is not serialized.
     /// The tracer is observability, not state, and is not serialized.
     pub fn save_state(&mut self, w: &mut crate::snapshot::StateWriter) {
         debug_assert!(
-            self.pending_wakes.is_empty() && self.fast_toggles.is_empty(),
+            self.pending_wakes.is_empty(),
             "save_state must run between runs"
         );
         w.put_u64(self.time.ticks());
@@ -581,9 +592,12 @@ impl Simulator {
     /// `(time, seq)` key, so a snapshot restores bit-identically onto
     /// either path. A toggle is stored only with its clock: the event
     /// list has no tag for one, so a snapshot that lists a toggle there
-    /// is [`Corrupt`](crate::SnapshotError::Corrupt). The
-    /// [`FastPathStats`] start from zero, just as the host-side caches
-    /// of the components restart cold.
+    /// is [`Corrupt`](crate::SnapshotError::Corrupt). So is a schedule
+    /// that lies in the past — a toggle or event earlier than the
+    /// restored time — and a toggle whose next half-period would
+    /// overflow the tick counter. The [`FastPathStats`] start from
+    /// zero, just as the host-side caches of the components restart
+    /// cold.
     ///
     /// On error the simulator may be partially restored and must be
     /// discarded.
@@ -617,14 +631,24 @@ impl Simulator {
                 ),
             });
         }
-        for slot in self.calendar.iter_mut() {
+        let now = self.time;
+        let unrunnable = |time: SimTime| SnapshotError::Corrupt {
+            context: format!("schedule entry at {time} cannot run from the restored time {now}"),
+        };
+        for (slot, clock) in self.calendar.iter_mut().zip(&self.clocks) {
             let time = SimTime::from_ticks(r.get_u64("clock toggle time")?);
+            if time < now || time.checked_add(clock.half_period).is_none() {
+                return Err(unrunnable(time));
+            }
             *slot = Some((time, r.get_u64("clock toggle seq")?));
         }
         let count = r.get_u64("event count")?;
         let mut events = Vec::new();
         for _ in 0..count {
             let time = SimTime::from_ticks(r.get_u64("event time")?);
+            if time < now {
+                return Err(unrunnable(time));
+            }
             let delta = r.get_u32("event delta")?;
             let seq = r.get_u64("event seq")?;
             let tag = r.get_u8("event kind")?;
@@ -686,7 +710,6 @@ impl Simulator {
         self.woken_list.clear();
         self.woken.iter_mut().for_each(|f| *f = false);
         self.pending_wakes.clear();
-        self.fast_toggles.clear();
         Ok(())
     }
 
@@ -781,6 +804,14 @@ impl Simulator {
         self.stop = None;
         let mut events_left = limit.max_events;
         let deadline = limit.resolve(self.time);
+        // Each per-delta list has a bound (one carried wake per
+        // component, one change per signal), so sized here they never
+        // grow inside the loop, whichever path runs.
+        self.pending_wakes.reserve(self.comps.len());
+        self.woken_list.reserve(self.comps.len());
+        self.changes.clear();
+        self.changes.reserve(self.signals.len());
+        self.signals.reserve_pending();
 
         'outer: while self.stop.is_none() {
             // The next work item is the earlier of the queue head and the
@@ -811,6 +842,20 @@ impl Simulator {
             self.stats.time_steps += 1;
 
             let mut delta = first_delta;
+            // The edge path: a clock edge that is the only work at `t` is
+            // delta 0 in full, so it flips in place and its precomputed
+            // fan-out becomes delta 1's carried wakes, the list the commit
+            // scan would build. An edge that wakes nobody ends the step.
+            if let Some((ct, _, k)) = c {
+                if ct == t && events_left > 0 && self.edge_is_alone(queue, k, t) {
+                    events_left -= 1;
+                    self.stats.events += 1;
+                    if !self.clock_edge(queue, k, t) {
+                        continue;
+                    }
+                    delta = 1;
+                }
+            }
             loop {
                 // Evaluate: dispatch every event due at (t, delta) —
                 // calendar toggles and queued events merged in `seq`
@@ -843,7 +888,6 @@ impl Simulator {
                         if events_left == 0 {
                             self.stop =
                                 Some(StopReason::Error("event budget exhausted".into()));
-                            self.park_fast_toggles();
                             self.requeue_pending_wakes(queue, t, delta);
                             break 'outer;
                         }
@@ -864,7 +908,6 @@ impl Simulator {
                         // dispatch order an unbounded run would have).
                         queue.push_event(ev);
                         self.stop = Some(StopReason::Error("event budget exhausted".into()));
-                        self.park_fast_toggles();
                         self.requeue_pending_wakes(queue, t, delta);
                         break 'outer;
                     }
@@ -955,23 +998,14 @@ impl Simulator {
                             queue.push(t, delta, EventKind::SignalWake(cid, sid));
                         }
                         self.stop = Some(StopReason::Error("event budget exhausted".into()));
-                        self.park_fast_toggles();
                         break 'outer;
                     }
                     wakes.clear();
                     self.pending_wakes = wakes; // keep the capacity
                 }
 
-                // Update: first finish any quiet clock toggles (their
-                // transition has no observer, so flipping in place here —
-                // where the ordinary write would have committed — is
-                // indistinguishable from the reference path), then commit
-                // writes and wake subscribers in the next delta.
-                if !self.fast_toggles.is_empty() {
-                    for w in self.fast_toggles.drain(..) {
-                        self.signals.apply_quiet_toggle(w);
-                    }
-                }
+                // Update: commit writes and wake subscribers in the next
+                // delta.
                 self.changes.clear();
                 self.signals.commit(&mut self.changes);
                 self.stats.deltas += 1;
@@ -1043,10 +1077,6 @@ impl Simulator {
             self.pending_wakes.is_empty(),
             "carried wakes must never outlive a run call"
         );
-        debug_assert!(
-            self.fast_toggles.is_empty(),
-            "deferred quiet toggles must never outlive a run call"
-        );
         RunSummary {
             end_time: self.time,
             stats: self.stats.since(&stats_start),
@@ -1082,31 +1112,52 @@ impl Simulator {
         }
     }
 
-    /// Dispatches clock `k`'s toggle at time `t`: flip (quiet when the
-    /// edge provably has no observer) and re-arm the next half-period —
-    /// in the calendar on the fast path, as a queued `ClockToggle` on
-    /// the reference path. The sequence number is claimed at exactly
-    /// this point on both paths, so the global scheduling order is
-    /// identical.
+    /// Whether clock `k`'s edge due at `t` is the only work there: no
+    /// queued event and no other clock due at `t`, no pending write for
+    /// the flip to race, and no tracer that must record the change.
+    #[inline]
+    fn edge_is_alone(&self, queue: &EventQueue, k: usize, t: SimTime) -> bool {
+        queue.peek_key().is_none_or(|(qt, _)| qt > t)
+            && !self.signals.has_pending()
+            && !self.signals.is_traced(self.clocks[k].wire.id())
+            && self
+                .calendar
+                .iter()
+                .enumerate()
+                .all(|(j, slot)| j == k || slot.is_none_or(|(st, _)| st > t))
+    }
+
+    /// The edge path's delta 0: flips clock `k` in place (one write, one
+    /// commit, one delta), re-arms its calendar slot and carries the
+    /// edge's fan-out to delta 1. Returns whether the edge woke anyone.
+    #[inline]
+    fn clock_edge(&mut self, queue: &mut EventQueue, k: usize, t: SimTime) -> bool {
+        self.fast.clock_toggles += 1;
+        self.fast.calendar_toggles += 1;
+        self.stats.deltas += 1;
+        let clock = &self.clocks[k];
+        let new = self.signals.flip_alone(clock.wire);
+        self.calendar[k] = Some((t + clock.half_period, queue.alloc_seq()));
+        let fanout = &clock.fanout[new as usize];
+        if fanout.is_empty() {
+            self.fast.quiet_toggles += 1;
+            return false;
+        }
+        self.pending_wakes.extend_from_slice(fanout);
+        true
+    }
+
+    /// Dispatches clock `k`'s toggle at time `t` in the general loop: an
+    /// ordinary write, then the re-arm of the next half-period — in the
+    /// calendar on the fast path, as a queued `ClockToggle` on the
+    /// reference path. The sequence number is claimed at exactly this
+    /// point on both paths (and on the edge path), so the global
+    /// scheduling order is identical.
     #[inline]
     fn toggle_clock(&mut self, queue: &mut EventQueue, k: usize, t: SimTime) {
         self.fast.clock_toggles += 1;
         let clock = &self.clocks[k];
-        let wire = clock.wire;
-        let cur = self.signals.read(wire);
-        let rising = cur == 0;
-        // Edge-filtered fast path: a toggle whose resulting edge has no
-        // matching subscriber (and no tracer, and no competing write) is
-        // unobservable — defer a quiet in-place flip to this delta's
-        // update phase and skip the commit/scan machinery entirely. For
-        // a system clocking everything on the rising edge, every second
-        // half-period becomes a toggle-only event.
-        if self.specialize && self.signals.try_begin_quiet_toggle(wire, rising) {
-            self.fast.quiet_toggles += 1;
-            self.fast_toggles.push(wire);
-        } else {
-            self.signals.write(wire, cur ^ 1);
-        }
+        self.signals.write(clock.wire, self.signals.read(clock.wire) ^ 1);
         let next_t = t + clock.half_period;
         if self.specialize {
             self.calendar[k] = Some((next_t, queue.alloc_seq()));
@@ -1121,16 +1172,6 @@ impl Simulator {
     fn requeue_pending_wakes(&mut self, queue: &mut EventQueue, t: SimTime, delta: u32) {
         for (cid, sid) in self.pending_wakes.drain(..) {
             queue.push(t, delta, EventKind::SignalWake(cid, sid));
-        }
-    }
-
-    /// Converts still-deferred quiet clock toggles back into ordinary
-    /// pending writes (a run breaking off mid-delta never reaches the
-    /// update phase that would have finished them); the resumed run's
-    /// first commit then applies them exactly like the reference path.
-    fn park_fast_toggles(&mut self) {
-        for w in self.fast_toggles.drain(..) {
-            self.signals.requeue_quiet_toggle(w);
         }
     }
 

@@ -40,8 +40,10 @@ pub struct FastPathStats {
     /// Identical on both paths — the denominator of every coverage
     /// ratio.
     pub clock_toggles: u64,
-    /// Toggles whose resulting edge provably had no observer and were
-    /// applied as a quiet in-place flip (no commit scan, no wake pass).
+    /// Toggles that took the edge path (alone at their tick: flipped in
+    /// place, their precomputed fan-out carried to the next delta) and
+    /// whose fan-out was empty, so the time step ended with the flip.
+    /// For a system clocked on one edge, that is every other toggle.
     pub quiet_toggles: u64,
     /// Toggles dispatched from the per-clock calendar instead of the
     /// event queue (no queue push/pop per half-period).
@@ -70,7 +72,8 @@ impl FastPathStats {
         }
     }
 
-    /// Fraction of dispatched toggles that were quiet in-place flips.
+    /// Fraction of dispatched toggles that were quiet: edge-path flips
+    /// that woke nobody (see [`quiet_toggles`](Self::quiet_toggles)).
     pub fn quiet_coverage(&self) -> f64 {
         if self.clock_toggles == 0 {
             1.0

@@ -1,14 +1,19 @@
 //! Differential tests for the kernel's clocked fast paths.
 //!
-//! The fast paths (the per-clock toggle calendar, edge-summary quiet
-//! toggles and batched dispatch, all behind one switch:
+//! The fast paths (the per-clock toggle calendar, the edge path and
+//! batched dispatch, all behind one switch:
 //! `Simulator::set_clock_specialization` / `DMI_KERNEL_SPECIALIZE`) must
-//! be **bit-identical** to the reference path (queued toggles, full
-//! commit scan, one `Ctx` per wake): same wake sequences (order, times,
-//! deltas, causes), same observed signal values, same [`KernelStats`],
-//! same traces — under randomized multi-clock (co-prime period)
-//! subscribe topologies, timer interleavings and event-budget
-//! interruptions.
+//! be **bit-identical** to the reference path (queued toggles, every
+//! toggle written, committed and scanned, one `Ctx` per wake): same wake
+//! sequences (order, times, deltas, causes), same observed signal
+//! values, same [`KernelStats`], same write and commit counts, same
+//! traces — under randomized multi-clock (co-prime period) subscribe
+//! topologies with repeated subscriptions, timer interleavings and
+//! event-budget interruptions. The edge path serves a clock edge that
+//! is alone at its tick from a fan-out precomputed at subscription
+//! time; every other toggle (a tie with a timer or another clock, a
+//! traced clock, a pending write left by a budget stop) takes the
+//! general loop, so the random topologies exercise both.
 
 use std::any::Any;
 
@@ -16,9 +21,9 @@ use dmi_kernel::{Component, Ctx, Edge, KernelStats, RunLimit, SimTime, Simulator
 use proptest::prelude::*;
 
 /// A probe component: logs every wake (time, delta, cause, the values of
-/// all watched wires — including clock wires, which is what makes the
-/// deferred quiet-toggle semantics observable), optionally drives an
-/// output and optionally keeps a timer chain running.
+/// all watched wires — including clock wires, which is what makes an
+/// in-place clock flip observable), optionally drives an output and
+/// optionally keeps a timer chain running.
 struct Probe {
     watched: Vec<Wire>,
     out: Option<Wire>,
@@ -68,9 +73,14 @@ struct CompCfg {
     /// Drive an output wire.
     drives: bool,
     /// Timer period (0 = none); odd values land between clock edges,
-    /// even values exactly on toggle ticks — the interleaving the
-    /// deferred-toggle semantics must survive.
+    /// even values exactly on toggle ticks — where a toggle is not
+    /// alone at its tick and leaves the edge path.
     timer: u64,
+    /// A second subscription to the same clock, taken after every
+    /// component's first one (0 = Rising, 1 = Falling, 2 = Any,
+    /// 3 = none): the same edge again or another one, which the edge
+    /// fan-out must deduplicate and order exactly as the commit scan.
+    again: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -81,20 +91,28 @@ struct Topology {
     ticks: u64,
     /// Event budget per run slice (0 = single unbounded run). Small
     /// budgets force the run to break off mid-delta and resume, which
-    /// exercises the quiet-toggle parking and wake-requeue paths.
+    /// exercises the wake-requeue paths and leaves pending writes
+    /// that a resumed edge must not flip past.
     budget: u64,
 }
 
 fn topology_strategy() -> impl Strategy<Value = Topology> {
-    let comp = (0usize..4, 0usize..3, any::<bool>(), any::<bool>(), 0u64..7).prop_map(
-        |(clock, edge, chain, drives, timer)| CompCfg {
+    let comp = (
+        0usize..4,
+        0usize..3,
+        any::<bool>(),
+        any::<bool>(),
+        0u64..7,
+        0usize..4,
+    )
+        .prop_map(|(clock, edge, chain, drives, timer, again)| CompCfg {
             clock,
             edge,
             chain,
             drives,
             timer,
-        },
-    );
+            again,
+        });
     (
         // Half-periods 1, 2, 3, 5, 7, 11: mostly pairwise co-prime, so
         // multi-clock draws produce long non-repeating edge
@@ -132,6 +150,8 @@ struct Observed {
     /// which fast path served each toggle and differ by configuration).
     clock_toggles: u64,
     writes_total: u64,
+    /// Delta commits: the edge path counts its own in-place flip as one.
+    commits_total: u64,
     end_time: u64,
     finals: Vec<u64>,
     vcd: String,
@@ -185,6 +205,11 @@ fn run_topology(top: &Topology, specialize: bool, split: Option<(u64, bool)>) ->
         }
         ids.push(id);
     }
+    for (c, &id) in top.comps.iter().zip(&ids) {
+        if let Some(&edge) = [Edge::Rising, Edge::Falling, Edge::Any].get(c.again) {
+            sim.subscribe(id, clocks[c.clock % clocks.len()], edge);
+        }
+    }
 
     match split {
         Some((at, path)) => {
@@ -211,6 +236,7 @@ fn run_topology(top: &Topology, specialize: bool, split: Option<(u64, bool)>) ->
         stats: sim.stats(),
         clock_toggles: fast.clock_toggles,
         writes_total: sim.signals().writes_total(),
+        commits_total: sim.signals().commits_total(),
         end_time: sim.time().ticks(),
         finals: wires.iter().map(|&w| sim.peek(w)).collect(),
         vcd: sim.tracer().to_vcd(sim.signals(), sim.time()),
@@ -291,6 +317,7 @@ proptest! {
         prop_assert_eq!(&sliced.vcd, &whole.vcd);
         prop_assert_eq!(sliced.end_time, whole.end_time);
         prop_assert_eq!(sliced.writes_total, whole.writes_total);
+        prop_assert_eq!(sliced.commits_total, whole.commits_total);
         prop_assert_eq!(sliced.clock_toggles, whole.clock_toggles);
         prop_assert_eq!(sliced.stats.events, whole.stats.events);
         prop_assert_eq!(sliced.stats.wakes, whole.stats.wakes);
@@ -329,8 +356,9 @@ fn rising_only_sim(specialize: bool) -> (Simulator, dmi_kernel::ComponentId) {
     (sim, id)
 }
 
-/// With only Rising subscribers, every falling toggle takes the quiet
-/// fast path — and the observable simulation is unchanged.
+/// With only Rising subscribers, every falling toggle takes the edge
+/// path with an empty fan-out (a quiet toggle) — and the observable
+/// simulation is unchanged.
 #[test]
 fn falling_edges_take_the_quiet_path() {
     let (mut sim, id) = rising_only_sim(true);
@@ -353,10 +381,14 @@ fn falling_edges_take_the_quiet_path() {
         reference.signals().writes_total(),
         sim.signals().writes_total()
     );
+    assert_eq!(
+        reference.signals().commits_total(),
+        sim.signals().commits_total()
+    );
 }
 
-/// A traced clock never takes the quiet path (the tracer must see every
-/// transition).
+/// A traced clock never takes the edge path (the tracer must see every
+/// transition), so none of its toggles is quiet.
 #[test]
 fn traced_clock_stays_on_the_slow_path() {
     let mut sim = Simulator::new();
@@ -397,11 +429,10 @@ fn calendar_keeps_toggles_out_of_the_queue() {
     );
 }
 
-/// Budget slices that cut between a calendar toggle's dispatch and its
-/// commit (single-event slices hit every such boundary) leave the
-/// deferred quiet flip parked and the next slot armed; resuming replays
-/// the queued implementation's simulation exactly — the calendar mirror
-/// of the parked quiet-toggle tests.
+/// Budget slices that cut between a calendar toggle and the wakes it
+/// carries (single-event slices hit every such boundary) requeue the
+/// undispatched wakes and leave the next slot armed; resuming replays
+/// the queued implementation's simulation exactly.
 #[test]
 fn single_event_slices_resume_calendar_toggles_exactly() {
     let run_sliced = |specialize: bool, max_events: u64| {
@@ -491,4 +522,75 @@ fn coprime_clocks_interleave_identically() {
     let (edges, finals, stats, toggles) = run(true);
     assert_eq!(edges, vec![70, 42, 30]);
     assert_eq!(run(false), (edges, finals, stats, toggles));
+}
+
+/// A subscription taken between runs joins the clock's fan-out at once:
+/// the next matching edge wakes the new subscriber on both paths, in
+/// the order the reference path's commit scan produces. A fan-out
+/// computed once, before the first run, would miss it.
+#[test]
+fn a_subscription_between_runs_joins_the_next_edge() {
+    let run = |specialize: bool| {
+        let (mut sim, counter) = rising_only_sim(specialize);
+        let clk = sim.component::<EdgeCounter>(counter).unwrap().clk;
+        let late = sim.add_component(Box::new(Probe {
+            watched: vec![clk],
+            out: None,
+            timer_period: None,
+            counter: 0,
+            log: Vec::new(),
+        }));
+        sim.run_for(50);
+        sim.subscribe(late, clk, Edge::Falling);
+        sim.subscribe(late, clk, Edge::Any);
+        sim.run_for(50);
+        (
+            sim.component::<Probe>(late).unwrap().log.clone(),
+            sim.stats(),
+            sim.signals().commits_total(),
+            sim.quiet_toggles(),
+        )
+    };
+    let (log, stats, commits, quiet) = run(true);
+    let clk_cause = 1_000_000;
+    let expected: Vec<WakeRecord> = std::iter::once((0, 0, 0, vec![0]))
+        .chain((55..=100).step_by(5).map(|t| (t, 1, clk_cause, vec![(t % 10 == 0) as u64])))
+        .collect();
+    assert_eq!(log, expected, "the late subscriber wakes on every edge after 50");
+    assert_eq!(quiet, 4, "falling edges at 15..45 woke nobody; later ones do");
+    assert_eq!(run(false), (log, stats, commits, 0));
+}
+
+/// A clock added after the simulation has run arms its first rising
+/// edge one period after the current time, never in the past: time
+/// does not go backwards, and both paths run the same continuation.
+#[test]
+fn a_clock_added_mid_run_starts_from_now() {
+    let run = |specialize: bool| {
+        let (mut sim, _) = rising_only_sim(specialize);
+        sim.run_for(100);
+        let late = sim.add_clock("late", 4);
+        let id = sim.add_component(Box::new(Probe {
+            watched: vec![late],
+            out: None,
+            timer_period: None,
+            counter: 0,
+            log: Vec::new(),
+        }));
+        sim.subscribe(id, late, Edge::Rising);
+        let mut times = vec![sim.time().ticks()];
+        for _ in 0..12 {
+            sim.run(RunLimit::until(SimTime::from_ticks(120)).with_max_events(1));
+            times.push(sim.time().ticks());
+        }
+        (times, sim.component::<Probe>(id).unwrap().log.clone(), sim.stats())
+    };
+    let (times, log, stats) = run(true);
+    assert!(
+        times.windows(2).all(|w| w[0] <= w[1]),
+        "time went backwards: {times:?}"
+    );
+    let first_edge = log.iter().find(|r| r.2 != 0).map(|r| r.0);
+    assert_eq!(first_edge, Some(104), "first rising edge one period after 100");
+    assert_eq!(run(false), (times, log, stats));
 }

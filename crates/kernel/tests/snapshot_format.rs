@@ -2,8 +2,8 @@
 //! kernel path ran, save/restore round-trips replay bit-identically
 //! across the fast and reference paths, and every flavour of corrupt
 //! input — truncation, bit flips, wrong magic, wrong version, a schedule
-//! that holds a clock's toggle twice — comes back as a typed
-//! [`SnapshotError`], never a panic.
+//! that holds a clock's toggle twice or lies in the past — comes back
+//! as a typed [`SnapshotError`], never a panic.
 
 use std::any::Any;
 
@@ -327,6 +327,12 @@ fn double_toggle_capture() -> Snapshot {
     let toggle = [time, &0u32.to_le_bytes(), seq, &[3], &0u32.to_le_bytes()].concat();
     let seq_at = kernel.len() - 8;
     kernel.splice(seq_at..seq_at, toggle);
+    with_kernel(&clean, kernel)
+}
+
+/// `clean` with its kernel section replaced by `kernel`, under fresh
+/// checksums, so only the kernel's own checks can reject it.
+fn with_kernel(clean: &Snapshot, kernel: Vec<u8>) -> Snapshot {
     let mut spliced = Snapshot::new();
     for name in clean.section_names() {
         let payload = match name {
@@ -365,6 +371,54 @@ fn a_clock_toggle_held_twice_is_corrupt() {
         match apply(&mut target, &double_toggle_capture()) {
             Err(SnapshotError::Corrupt { .. }) => {}
             other => panic!("target fast={dst}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_schedule_in_the_past_is_corrupt() {
+    // A 2-LFSR ring captured at tick 50: its kernel section ends with
+    // the clock's next toggle `(time, seq)` (the falling edge at 55),
+    // an empty event list (a `u64` count) and the `u64` next seq.
+    let (mut sim, _, _) = build_ring(2, true);
+    sim.run_for(50);
+    let clean = capture(&mut sim);
+    let kernel = clean.section("kernel").unwrap().to_vec();
+    let count_at = kernel.len() - 8 - 8;
+    let toggle_at = count_at - 16;
+    assert_eq!(kernel[count_at..count_at + 8], 0u64.to_le_bytes());
+    assert_eq!(kernel[toggle_at..toggle_at + 8], 55u64.to_le_bytes());
+    let toggle_at_tick = |tick: u64| {
+        let mut k = kernel.clone();
+        k[toggle_at..toggle_at + 8].copy_from_slice(&tick.to_le_bytes());
+        with_kernel(&clean, k)
+    };
+    // A `Start` event at tick 5, spliced into the event list.
+    let past_event = {
+        let mut k = kernel.clone();
+        k[count_at..count_at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let seq = &kernel[kernel.len() - 8..];
+        let start = [&5u64.to_le_bytes()[..], &0u32.to_le_bytes(), seq, &[0], &0u32.to_le_bytes()];
+        let at = k.len() - 8;
+        k.splice(at..at, start.concat());
+        with_kernel(&clean, k)
+    };
+    for dst in [true, false] {
+        let (mut target, _, _) = build_ring(2, dst);
+        apply(&mut target, &toggle_at_tick(55)).expect("the clean schedule restores");
+        // A toggle before the restored time, a toggle whose next
+        // half-period overflows the tick counter, an event before the
+        // restored time.
+        for (what, snap) in [
+            ("toggle at 5", toggle_at_tick(5)),
+            ("toggle at u64::MAX - 1", toggle_at_tick(u64::MAX - 1)),
+            ("event at 5", past_event.clone()),
+        ] {
+            let (mut target, _, _) = build_ring(2, dst);
+            match apply(&mut target, &snap) {
+                Err(SnapshotError::Corrupt { .. }) => {}
+                other => panic!("{what}, target fast={dst}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 }

@@ -75,9 +75,10 @@ pub struct RunReport {
     /// Kernel statistics for this run.
     pub kernel: KernelStats,
     /// Kernel fast-path counters for this run (clock toggles total,
-    /// quiet in-place flips, calendar dispatches) — what experiments
-    /// assert fast-path coverage with. Unlike `kernel`, these differ by
-    /// construction between the reference and fast configurations.
+    /// quiet edge-path toggles that woke nobody, calendar dispatches) —
+    /// what experiments assert fast-path coverage with. Unlike `kernel`,
+    /// these differ by construction between the reference and fast
+    /// configurations.
     pub fast_path: FastPathStats,
     /// Fault-injection counters: faults injected per site class and per
     /// plan spec, plus master-side recovery outcomes (retried /

@@ -496,7 +496,7 @@ fn burst_dma_against_static_protocol_reports_the_baseline_limit() {
 
 #[test]
 fn fast_path_counters_surface_in_reports() {
-    // The kernel fast-path counters (quiet flips, calendar dispatches)
+    // The kernel fast-path counters (quiet toggles, calendar dispatches)
     // come back per run through `RunReport::fast_path`, and the kernel's
     // fast/reference switch changes *only* host-side behaviour: same
     // cycles, same `KernelStats`, different serving path.

@@ -83,8 +83,9 @@ fn headline_toggle_fast_path_coverage_is_total() {
     // The kernel's clocked fast paths must actually carry the headline
     // experiment: with the defaults on, *every* toggle dispatches from
     // the clock calendar (≥ 99 % asserted, 100 % expected) and every
-    // falling half-period is a quiet in-place flip (all subscribers are
-    // rising-edge), so quiet coverage sits at ~50 % of all toggles.
+    // falling half-period takes the edge path and wakes nobody (all
+    // subscribers are rising-edge), so quiet coverage sits at ~50 % of
+    // all toggles.
     // `RunReport::fast_path` is the per-run surfacing of those counters.
     // (The `DMI_KERNEL_SPECIALIZE=0` CI job runs this suite too — pin
     // the fast path on explicitly.)
