@@ -25,7 +25,7 @@
 //! other toggle is an ordinary write); subscriber wakes are carried to
 //! the next delta in a scratch list instead of through the priority
 //! queue; and the carried wakes of one edge are dispatched through a
-//! single reusable [`Ctx`] frame.
+//! single reusable [`Ctx`] frame and booked once per batch.
 //! Dispatch order is provably identical to the reference path, which
 //! stays available for differential testing behind one switch
 //! (`DMI_KERNEL_SPECIALIZE=0` or
@@ -80,7 +80,7 @@ mod trace;
 
 pub use component::{Component, ComponentId, Wake};
 pub use ctx::{Ctx, StopReason};
-pub use signal::{Change, Edge, SignalBoard, SignalId, Wire};
+pub use signal::{Edge, SignalBoard, SignalId, Wire};
 pub use sim::{clock_specialization_default, QueueKind, RunLimit, RunSummary, Simulator};
 pub use snapshot::{
     crc32, frame_record, next_framed_record, FrameStream, FramedRecord, Snapshot, SnapshotError,

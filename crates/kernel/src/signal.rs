@@ -94,7 +94,7 @@ struct Slot {
 
 /// A committed signal change: `(signal, old value, new value)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Change {
+pub(crate) struct Change {
     /// The signal that changed.
     pub signal: SignalId,
     /// Value before the commit.
@@ -215,21 +215,28 @@ impl SignalBoard {
         slot.cur
     }
 
-    /// Commits all pending writes, appending actual changes to `out`.
+    /// Commits every pending write and returns the number of signals
+    /// whose value changed.
     ///
-    /// Returns the number of signals whose value changed.
-    pub fn commit(&mut self, out: &mut Vec<Change>) -> usize {
+    /// Appends a [`Change`] to `out` only for a signal someone watches —
+    /// one with a subscriber or a tracer — since no other change can wake
+    /// a component or be recorded. Every change still counts in the
+    /// return value, and the commit counts in
+    /// [`commits_total`](Self::commits_total).
+    pub(crate) fn commit(&mut self, out: &mut Vec<Change>) -> usize {
         self.commits_total += 1;
         let mut changed = 0;
         for id in self.pending.drain(..) {
             let slot = &mut self.slots[id.index()];
             slot.dirty = false;
             if slot.next != slot.cur {
-                out.push(Change {
-                    signal: id,
-                    old: slot.cur,
-                    new: slot.next,
-                });
+                if slot.traced || !slot.subs.is_empty() {
+                    out.push(Change {
+                        signal: id,
+                        old: slot.cur,
+                        new: slot.next,
+                    });
+                }
                 slot.cur = slot.next;
                 changed += 1;
             }
@@ -322,6 +329,11 @@ impl SignalBoard {
 
     /// Restores state written by [`SignalBoard::save_state`] onto a
     /// board with the same declarations.
+    ///
+    /// The pending-write list must name each dirty slot exactly once and
+    /// nothing else (`write` queues a slot only while it is clean, so a
+    /// dirty slot missing from the list would swallow every later write
+    /// to it); any other list is [`Corrupt`](crate::SnapshotError::Corrupt).
     pub(crate) fn load_state(
         &mut self,
         r: &mut crate::snapshot::StateReader<'_>,
@@ -342,12 +354,28 @@ impl SignalBoard {
         self.pending.clear();
         for _ in 0..pending {
             let raw = r.get_u32("pending signal id")?;
-            if raw as usize >= self.slots.len() {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("pending write names signal {raw} of {}", self.slots.len()),
-                });
+            // Each listed slot takes back its dirty flag, so a clean slot
+            // and a second listing are both caught here.
+            match self.slots.get_mut(raw as usize) {
+                Some(slot) if slot.dirty => slot.dirty = false,
+                _ => {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!(
+                            "pending write names signal {raw} of {}: out of range, clean or listed twice",
+                            self.slots.len()
+                        ),
+                    })
+                }
             }
             self.pending.push(SignalId(raw));
+        }
+        if let Some(i) = self.slots.iter().position(|s| s.dirty) {
+            return Err(SnapshotError::Corrupt {
+                context: format!("signal {i} is dirty but has no pending write"),
+            });
+        }
+        for id in &self.pending {
+            self.slots[id.index()].dirty = true;
         }
         self.writes_total = r.get_u64("signal writes_total")?;
         self.commits_total = r.get_u64("signal commits_total")?;
@@ -363,6 +391,7 @@ mod tests {
     fn declare_read_write_commit() {
         let mut b = SignalBoard::new();
         let w = b.declare("w", 8);
+        b.subscribe(w, ComponentId::from_raw(0), Edge::Any);
         assert_eq!(b.read(w), 0);
         b.write(w, 0x1ff); // masked to 8 bits
         assert_eq!(b.read(w), 0, "write not visible before commit");
@@ -372,6 +401,39 @@ mod tests {
         assert_eq!(ch.len(), 1);
         assert_eq!(ch[0].old, 0);
         assert_eq!(ch[0].new, 0xff);
+    }
+
+    #[test]
+    fn only_watched_changes_are_listed() {
+        let mut b = SignalBoard::new();
+        let w = b.declare("w", 8);
+        let mut ch = Vec::new();
+        // Neither subscribed nor traced: the change commits and counts,
+        // but no one can be woken by it or record it, so it is not listed.
+        b.write(w, 1);
+        assert_eq!(b.commit(&mut ch), 1);
+        assert_eq!(b.read(w), 1);
+        assert_eq!(b.commits_total(), 1);
+        assert!(ch.is_empty());
+        // Traced: the next change is listed.
+        b.set_traced(w.id(), true);
+        b.write(w, 2);
+        assert_eq!(b.commit(&mut ch), 1);
+        assert_eq!(
+            (ch.len(), ch[0].signal, ch[0].old, ch[0].new),
+            (1, w.id(), 1, 2)
+        );
+        // Subscribed and no longer traced: listed too.
+        b.set_traced(w.id(), false);
+        b.subscribe(w, ComponentId::from_raw(0), Edge::Any);
+        ch.clear();
+        b.write(w, 3);
+        assert_eq!(b.commit(&mut ch), 1);
+        assert_eq!(
+            (ch.len(), ch[0].signal, ch[0].old, ch[0].new),
+            (1, w.id(), 2, 3)
+        );
+        assert_eq!(b.commits_total(), 3);
     }
 
     #[test]

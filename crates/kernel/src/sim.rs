@@ -181,7 +181,7 @@ pub fn clock_specialization_default() -> bool {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    comps: Vec<Option<Box<dyn Component>>>,
+    comps: Vec<Box<dyn Component>>,
     comp_names: Vec<String>,
     signals: SignalBoard,
     queue: EventQueue,
@@ -209,8 +209,14 @@ pub struct Simulator {
     /// on or off — see [`FastPathStats`]).
     fast: FastPathStats,
     // Scratch buffers reused across deltas to avoid per-cycle allocation.
+    /// The current delta's committed changes that can wake a component or
+    /// must be traced (`SignalBoard::commit` lists no other), scanned by
+    /// the update phase.
     changes: Vec<Change>,
+    /// Per component: whether the current update phase has already
+    /// carried a wake for it, so a component wakes at most once a delta.
     woken: Vec<bool>,
+    /// The components whose `woken` flag is set, cleared after the scan.
     woken_list: Vec<ComponentId>,
     /// Signal wakes produced by the current delta's update phase, carried
     /// directly to the next delta instead of through the event queue.
@@ -342,7 +348,7 @@ impl Simulator {
     pub fn add_component(&mut self, component: Box<dyn Component>) -> ComponentId {
         let id = ComponentId::from_raw(self.comps.len());
         self.comp_names.push(component.name().to_owned());
-        self.comps.push(Some(component));
+        self.comps.push(component);
         self.woken.push(false);
         self.queue.push(self.time, 0, EventKind::Start(id));
         id
@@ -450,25 +456,20 @@ impl Simulator {
     ///
     /// Returns `None` if the id is stale or `T` is not the component's type.
     pub fn component<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        self.comps
-            .get(id.index())?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.comps.get(id.index())?.as_any().downcast_ref::<T>()
     }
 
     /// Type-erased access to a component by id (for callers holding a
     /// probe function instead of a concrete type, e.g. bus-master stats
     /// collection).
     pub fn component_any(&self, id: ComponentId) -> Option<&dyn std::any::Any> {
-        Some(self.comps.get(id.index())?.as_ref()?.as_any())
+        Some(self.comps.get(id.index())?.as_any())
     }
 
     /// Mutable access to a component by id, downcast to its concrete type.
     pub fn component_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
         self.comps
             .get_mut(id.index())?
-            .as_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
     }
@@ -716,11 +717,8 @@ impl Simulator {
     /// Serializes one component's state (name-tagged, then the
     /// component's own [`Component::save_state`] payload).
     pub fn save_component_state(&self, index: usize, w: &mut crate::snapshot::StateWriter) {
-        let comp = self.comps[index]
-            .as_ref()
-            .expect("component checked out during save");
         w.put_str(&self.comp_names[index]);
-        comp.save_state(w);
+        self.comps[index].save_state(w);
     }
 
     /// Restores one component's state written by
@@ -749,10 +747,7 @@ impl Simulator {
                 ),
             });
         }
-        let comp = self.comps[index]
-            .as_mut()
-            .expect("component checked out during restore");
-        comp.load_state(r)?;
+        self.comps[index].load_state(r)?;
         r.finish("component payload")
     }
 
@@ -948,11 +943,15 @@ impl Simulator {
                     // the whole batch, with only the per-wake cause /
                     // self-id fields updated inside the loop — the frame
                     // rebuild (borrows, time, delta, stop) is hoisted out.
-                    // Dispatch order is the slice order, identical to the
-                    // per-wake reference path below (pinned by
+                    // The budget and the counters are booked once per
+                    // batch: the first `n` wakes run (all of them unless
+                    // the budget ends inside the batch), with no per-wake
+                    // test. Dispatch order is the slice order, identical
+                    // to the per-wake reference path below (pinned by
                     // `tests/clock_specialization.rs`).
                     let mut budget_hit = None;
                     if self.specialize {
+                        let n = (wakes.len() as u64).min(events_left) as usize;
                         let mut ctx = Ctx {
                             signals: &mut self.signals,
                             queue,
@@ -962,22 +961,15 @@ impl Simulator {
                             self_id: ComponentId::from_raw(0),
                             stop: &mut self.stop,
                         };
-                        for (i, &(cid, sid)) in wakes.iter().enumerate() {
-                            if events_left == 0 {
-                                budget_hit = Some(i);
-                                break;
-                            }
-                            events_left -= 1;
-                            self.stats.events += 1;
-                            let mut comp = self.comps[cid.index()]
-                                .take()
-                                .expect("component re-entered during its own wake");
+                        for &(cid, sid) in &wakes[..n] {
                             ctx.cause = Wake::Signal(sid);
                             ctx.self_id = cid;
-                            comp.wake(&mut ctx);
-                            self.comps[cid.index()] = Some(comp);
-                            self.stats.wakes += 1;
+                            self.comps[cid.index()].wake(&mut ctx);
                         }
+                        events_left -= n as u64;
+                        self.stats.events += n as u64;
+                        self.stats.wakes += n as u64;
+                        budget_hit = (n < wakes.len()).then_some(n);
                     } else {
                         // Reference path: per-wake dispatch with a fresh
                         // `Ctx` each time.
@@ -1183,22 +1175,16 @@ impl Simulator {
         time: SimTime,
         delta: u32,
     ) {
-        let mut comp = self.comps[cid.index()]
-            .take()
-            .expect("component re-entered during its own wake");
-        {
-            let mut ctx = Ctx {
-                signals: &mut self.signals,
-                queue,
-                time,
-                delta,
-                cause,
-                self_id: cid,
-                stop: &mut self.stop,
-            };
-            comp.wake(&mut ctx);
-        }
-        self.comps[cid.index()] = Some(comp);
+        let mut ctx = Ctx {
+            signals: &mut self.signals,
+            queue,
+            time,
+            delta,
+            cause,
+            self_id: cid,
+            stop: &mut self.stop,
+        };
+        self.comps[cid.index()].wake(&mut ctx);
         self.stats.wakes += 1;
     }
 }

@@ -2,14 +2,15 @@
 //! kernel path ran, save/restore round-trips replay bit-identically
 //! across the fast and reference paths, and every flavour of corrupt
 //! input — truncation, bit flips, wrong magic, wrong version, a schedule
-//! that holds a clock's toggle twice or lies in the past — comes back
-//! as a typed [`SnapshotError`], never a panic.
+//! that holds a clock's toggle twice or lies in the past, pending-write
+//! bookkeeping that disagrees with itself — comes back as a typed
+//! [`SnapshotError`], never a panic.
 
 use std::any::Any;
 
 use dmi_kernel::{
-    Component, Ctx, Edge, Simulator, Snapshot, SnapshotError, StateReader, StateWriter, Wire,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Component, Ctx, Edge, RunLimit, SimTime, Simulator, Snapshot, SnapshotError, StateReader,
+    StateWriter, Wire, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -415,6 +416,82 @@ fn a_schedule_in_the_past_is_corrupt() {
             ("event at 5", past_event.clone()),
         ] {
             let (mut target, _, _) = build_ring(2, dst);
+            match apply(&mut target, &snap) {
+                Err(SnapshotError::Corrupt { .. }) => {}
+                other => panic!("{what}, target fast={dst}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A 4-LFSR ring stopped by its event budget inside the batch of the
+/// first rising edge (tick 10): 4 `Start` events, the edge, then 2 of
+/// its 4 wakes, so the writes of `lfsr0` and `lfsr1` (to signals 2 and
+/// 3, `bus1` and `bus2`) are pending, uncommitted.
+fn pending_writes_capture(specialize: bool) -> Snapshot {
+    let (mut sim, _, _) = build_ring(4, specialize);
+    let summary = sim.run(RunLimit::unbounded().with_max_events(7));
+    assert!(summary.stop.unwrap().message().contains("event budget"));
+    assert_eq!(sim.time().ticks(), 10);
+    capture(&mut sim)
+}
+
+#[test]
+fn restored_pending_writes_must_match_the_dirty_flags() {
+    let clean = pending_writes_capture(true);
+    assert!(clean.to_bytes() == pending_writes_capture(false).to_bytes());
+    // The kernel section's signal board starts after the time, the four
+    // stats and the component count: a `u32` signal count, then per
+    // signal (clk, bus0..bus3) `cur: u64, next: u64, dirty: u8`, then
+    // the pending list (a `u32` count and `u32` ids).
+    let kernel = clean.section("kernel").unwrap().to_vec();
+    const SLOT: usize = 8 + 8 + 1;
+    let slots_at = 8 + 4 * 8 + 4 + 4;
+    let dirty_at = |i: usize| slots_at + i * SLOT + 16;
+    let count_at = slots_at + 5 * SLOT;
+    assert_eq!(kernel[slots_at - 4..slots_at], 5u32.to_le_bytes());
+    assert_eq!(
+        (0..5).map(|i| kernel[dirty_at(i)]).collect::<Vec<_>>(),
+        [0, 0, 1, 1, 0]
+    );
+    let list = |ids: &[u32]| -> Vec<u8> {
+        let mut bytes = (ids.len() as u32).to_le_bytes().to_vec();
+        ids.iter().for_each(|id| bytes.extend(id.to_le_bytes()));
+        bytes
+    };
+    assert_eq!(kernel[count_at..count_at + 12], list(&[2, 3]));
+    let with_list = |ids: &[u32]| {
+        let mut k = kernel.clone();
+        k.splice(count_at..count_at + 12, list(ids));
+        with_kernel(&clean, k)
+    };
+    let signal_3_clean = {
+        let mut k = kernel.clone();
+        k[dirty_at(3)] = 0;
+        with_kernel(&clean, k)
+    };
+
+    // The straight run, which no budget interrupted. A run resumed inside
+    // a time step counts that step again, so `time_steps` (the last
+    // observed value) is left out.
+    let until = RunLimit::until(SimTime::from_ticks(200));
+    let (mut straight, ids, buses) = build_ring(4, true);
+    straight.run(until);
+    let mut reference = observe(&straight, &ids, &buses);
+    reference.pop();
+    for dst in [true, false] {
+        let (mut target, ids, buses) = build_ring(4, dst);
+        apply(&mut target, &clean).expect("the clean capture restores");
+        target.run(until);
+        let mut restored = observe(&target, &ids, &buses);
+        restored.pop();
+        assert_eq!(restored, reference, "target fast={dst}");
+        for (what, snap) in [
+            ("dirty but not pending", with_list(&[2])),
+            ("pending but not dirty", signal_3_clean.clone()),
+            ("pending twice", with_list(&[2, 3, 2])),
+        ] {
+            let (mut target, _, _) = build_ring(4, dst);
             match apply(&mut target, &snap) {
                 Err(SnapshotError::Corrupt { .. }) => {}
                 other => panic!("{what}, target fast={dst}: expected Corrupt, got {other:?}"),

@@ -5,7 +5,9 @@
 //! a checkpoint does not depend on which kernel path ran. The counters
 //! of host-side caches (decoded-instruction cache, pointer-table TLB)
 //! are the one documented difference between reports: they are never
-//! serialized and restart from zero after a restore.
+//! serialized and restart from zero after a restore. Checkpoint bytes
+//! of two systems are pinned by CRC, so a fault that both kernel paths
+//! share still shows.
 
 use std::time::Duration;
 
@@ -14,8 +16,8 @@ use dmi_gsm::pipeline::{self, PipelineCfg};
 use dmi_masters::{BurstSpec, DmaConfig, DmaEngine, DmaKind, RetryPolicy};
 use dmi_sw::{workloads, WorkloadCfg};
 use dmi_system::{
-    mem_base, CpuSpec, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTrigger, McSystem, MemSpec,
-    RunReport, SnapshotError, StopCause, StopCondition, SystemBuilder,
+    mem_base, CpuSpec, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultTrigger, InterconnectKind,
+    McSystem, MemSpec, RunReport, SnapshotError, StopCause, StopCondition, SystemBuilder,
 };
 use proptest::prelude::*;
 
@@ -381,6 +383,88 @@ fn fork_fans_one_warm_checkpoint_into_divergent_continuations() {
     for (r1, r2) in reports.iter().zip(&again) {
         assert_eq!(fingerprint(r1), fingerprint(r2));
     }
+}
+
+/// CRC-32 of the checkpoint bytes at each cycle of `cuts` and at halt,
+/// with the cycle the system halted at.
+fn checkpoint_crcs(sys: &mut McSystem, cuts: &[u64]) -> (Vec<u32>, u64) {
+    let mut crcs = Vec::new();
+    for &at in cuts {
+        let done = sys.total_cycles();
+        let r = sys.run_until(&StopCondition::cycles(at - done));
+        assert_eq!(r.cause, StopCause::CycleBudget, "halted before cycle {at}");
+        crcs.push(dmi_kernel::crc32(&sys.checkpoint().to_bytes()));
+    }
+    let rest = run_to_completion(sys);
+    assert!(rest.all_ok(), "{}", rest.summary());
+    crcs.push(dmi_kernel::crc32(&sys.checkpoint().to_bytes()));
+    (crcs, sys.total_cycles())
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // The whole-system state at fixed cycles, on whichever kernel path
+    // the environment selects: the fast-vs-reference oracles run both
+    // paths through the same signal commit and component dispatch, so
+    // only a pin can see a fault the two share. A change to the snapshot
+    // format or to what the simulation does moves these values; a change
+    // that only makes the simulator faster must not.
+    //
+    // The GSM headline as the benchmark builds it (no fault plan).
+    let cfg = PipelineCfg {
+        n_frames: 2,
+        mem_bases: vec![mem_base(0)],
+        seed: 0x5EED,
+    };
+    let mut b = SystemBuilder::new();
+    for program in pipeline::stage_programs(&cfg) {
+        b.add_cpu(CpuSpec::new(program));
+    }
+    b.add_memory(MemSpec::wrapper(mem_base(0)));
+    let mut gsm = b.build().expect("gsm headline system");
+    let (crcs, halt) = checkpoint_crcs(&mut gsm, &[1, 77_777, 200_000]);
+    assert_eq!(halt, HEADLINE_CYCLES);
+    assert_eq!(
+        crcs,
+        [0x95dc_98ae, 0x1330_5539, 0xe242_8351, 0x89ae_3860],
+        "gsm headline"
+    );
+
+    // 16 DMA masters on a crossbar: 12 scalar fill engines spread over
+    // four static tables and 4 verifying burst engines on one wrapper
+    // memory.
+    let mut b = SystemBuilder::new().interconnect(InterconnectKind::Crossbar(Default::default()));
+    for j in 0..4 {
+        b.add_memory(MemSpec::static_table(mem_base(j)));
+    }
+    b.add_memory(MemSpec::wrapper(mem_base(4)));
+    for i in 0..16u32 {
+        let scalar = i < 12;
+        b.add_master(Box::new(DmaEngine::new(DmaConfig {
+            kind: DmaKind::Fill { seed: 0xC0DE + i },
+            dst: if scalar {
+                mem_base((i % 4) as usize) + (i / 4) * 0x1000
+            } else {
+                mem_base(4)
+            },
+            words: 256,
+            passes: 16,
+            burst: (!scalar).then_some(BurstSpec {
+                beats: 16,
+                verify: true,
+                at: None,
+            }),
+            ..DmaConfig::default()
+        })));
+    }
+    let mut dma = b.build().expect("16-master crossbar system");
+    let (crcs, halt) = checkpoint_crcs(&mut dma, &[1, 40_000, 80_000]);
+    assert_eq!(halt, 114_233);
+    assert_eq!(
+        crcs,
+        [0xa498_7002, 0x706c_8d1f, 0xa40b_934f, 0xfeb5_68d4],
+        "16-master crossbar DMA"
+    );
 }
 
 proptest! {
