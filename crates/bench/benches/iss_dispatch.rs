@@ -1,6 +1,7 @@
 //! ISS dispatch microbench: instruction throughput of the bare interpreter
-//! hot loop, predecoded micro-op engine (decoded-instruction cache) versus
-//! the reference word-at-a-time path. This isolates exactly the work the
+//! hot loop, `CpuCore::step` (predecoded micro-ops through the
+//! decoded-instruction cache) against its oracle `CpuCore::step_reference`
+//! (the word-at-a-time interpreter). This isolates exactly the work the
 //! predecode layer removes — `decode` plus the nested-match walk — with no
 //! kernel, bus or memory model in the way.
 
@@ -53,21 +54,31 @@ fn mix_program(iterations: u32) -> Program {
     a.assemble(0).unwrap()
 }
 
+/// Runs `prog` to halt on a fresh core, one `step` call per instruction,
+/// and returns the instruction count.
+fn run_to_halt(prog: &Program, step: impl Fn(&mut CpuCore, &mut NoBus) -> StepEvent) -> u64 {
+    let mut cpu = CpuCore::new(0, LocalMemory::new(0, 0x4000));
+    cpu.load_program(prog);
+    loop {
+        match step(&mut cpu, &mut NoBus) {
+            StepEvent::Executed { .. } => {}
+            ev => {
+                assert_eq!(ev, StepEvent::Halted);
+                return cpu.stats().instructions;
+            }
+        }
+    }
+}
+
 fn dispatch(c: &mut Criterion) {
     let prog = mix_program(2_000);
     let mut g = c.benchmark_group("iss_dispatch_2k_iter_mix");
-    for (label, predecode) in [("predecoded", true), ("reference", false)] {
-        g.bench_with_input(BenchmarkId::new(label, 0), &predecode, |b, &predecode| {
-            b.iter(|| {
-                let mut cpu = CpuCore::new(0, LocalMemory::new(0, 0x4000));
-                cpu.set_predecode(predecode);
-                cpu.load_program(&prog);
-                let ev = cpu.run(&mut NoBus, u64::MAX);
-                assert_eq!(ev, StepEvent::Halted);
-                cpu.stats().instructions
-            });
-        });
-    }
+    g.bench_with_input(BenchmarkId::new("predecoded", 0), &prog, |b, prog| {
+        b.iter(|| run_to_halt(prog, |cpu, bus| cpu.step(bus)));
+    });
+    g.bench_with_input(BenchmarkId::new("reference", 0), &prog, |b, prog| {
+        b.iter(|| run_to_halt(prog, |cpu, bus| cpu.step_reference(bus)));
+    });
     g.finish();
 }
 

@@ -132,8 +132,7 @@ pub(crate) fn write_snapshot_atomic(path: &Path, snap: &Snapshot) -> std::io::Re
 /// architectural snapshot. Wall time, host-side caches and the counters
 /// of those caches and of the kernel's fast paths never enter a
 /// snapshot, so this is bit-stable across cold, warm-started and
-/// crash-resumed executions of the same scenario, on either kernel path
-/// and either ISS engine.
+/// crash-resumed executions of the same scenario, on either kernel path.
 pub fn leg_fingerprint(sys: &mut McSystem) -> u32 {
     crc32(&sys.checkpoint().to_bytes())
 }

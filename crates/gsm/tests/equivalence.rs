@@ -1,10 +1,15 @@
 //! Kernel-by-kernel bit-exactness: each SimARM stage, executed on the ISS,
-//! must produce the same words as the Rust reference.
+//! must produce the same words as the Rust reference. Every harness also
+//! runs on the ISS's oracle, `CpuCore::step_reference`, which must end in
+//! the same state as `CpuCore::step`.
 
 use dmi_gsm::codegen;
 use dmi_gsm::reference as r;
 use dmi_isa::{Asm, Reg};
-use dmi_iss::{CpuCore, LocalMemory, NoBus, StepEvent};
+use dmi_iss::{CpuCore, CpuStats, ExtBus, Flags, LocalMemory, NoBus, StepEvent};
+
+/// Private memory of a harness core.
+const LOCAL_SIZE: u32 = 0x20000;
 
 /// Fixed local-memory addresses for kernel harness buffers.
 const IN0: u32 = 0x8000; // primary input
@@ -27,14 +32,46 @@ fn harness(kernel: &str, args: &[u32]) -> dmi_isa::Program {
     a.assemble(0).unwrap()
 }
 
-fn run_kernel(prog: &dmi_isa::Program, setup: impl FnOnce(&mut CpuCore)) -> CpuCore {
-    let mut cpu = CpuCore::new(0, LocalMemory::new(0, 0x20000));
-    cpu.load_program(prog);
-    setup(&mut cpu);
-    match cpu.run(&mut NoBus, 100_000_000) {
-        StepEvent::Halted => cpu,
-        other => panic!("kernel did not halt: {other:?}, fault {:?}", cpu.fault()),
-    }
+/// Registers, flags, cycles, statistics (the host-side cache counters
+/// zeroed) and console output: what both engines must agree on.
+fn outcome(cpu: &CpuCore) -> (Vec<u32>, Flags, u64, CpuStats, String) {
+    let stats = CpuStats {
+        icache_hits: 0,
+        icache_misses: 0,
+        ..cpu.stats()
+    };
+    let regs = (0..16).map(|i| cpu.reg(Reg::new(i))).collect();
+    (regs, cpu.flags(), cpu.cycles(), stats, cpu.console().text())
+}
+
+/// Runs a harness to halt on `CpuCore::step` and on `step_reference`,
+/// requires both to end in the same state, and returns the `step` core.
+fn run_kernel(prog: &dmi_isa::Program, setup: impl Fn(&mut CpuCore)) -> CpuCore {
+    let run = |step: fn(&mut CpuCore, &mut dyn ExtBus) -> StepEvent| {
+        let mut cpu = CpuCore::new(0, LocalMemory::new(0, LOCAL_SIZE));
+        cpu.load_program(prog);
+        setup(&mut cpu);
+        for _ in 0..100_000_000 {
+            match step(&mut cpu, &mut NoBus) {
+                StepEvent::Executed { .. } => {}
+                StepEvent::Halted => return cpu,
+                other => panic!("kernel did not halt: {other:?}"),
+            }
+        }
+        panic!("kernel did not halt within its step budget");
+    };
+    let (cpu, oracle) = (run(CpuCore::step), run(CpuCore::step_reference));
+    assert_eq!(
+        outcome(&cpu),
+        outcome(&oracle),
+        "step and step_reference diverged"
+    );
+    let image = |c: &CpuCore| c.local().read_slice(0, LOCAL_SIZE as usize).unwrap().to_vec();
+    assert!(
+        image(&cpu) == image(&oracle),
+        "the engines left different local memory"
+    );
+    cpu
 }
 
 fn write_words(cpu: &mut CpuCore, addr: u32, words: &[i32]) {

@@ -364,6 +364,23 @@ impl Component for CpuComponent {
         self.stats.bus_wait_cycles = r.get_u64("cpu stats.bus_wait_cycles")?;
         self.stats.transactions = r.get_u64("cpu stats.transactions")?;
         self.halted_driven = r.get_bool("cpu halted_driven")?;
+        // Between wakes the handshake fields agree: a stall stores the
+        // pending access as it enters `WaitBus`, the ack that buffers the
+        // response also consumes it and the access, and the step that
+        // halts the core drives `halted`. A capture that contradicts
+        // itself would panic or hang on resume, so it is corrupt.
+        let corrupt = |what: &str| SnapshotError::Corrupt {
+            context: format!("{}: {what}", self.name),
+        };
+        if (self.state == State::WaitBus) != self.pending.is_some() {
+            return Err(corrupt("the bus state disagrees with the pending access"));
+        }
+        if self.ready.is_some() {
+            return Err(corrupt("a bus response is buffered between wakes"));
+        }
+        if self.halted_driven != self.core.is_halted() {
+            return Err(corrupt("the halted output disagrees with the core"));
+        }
         Ok(())
     }
 

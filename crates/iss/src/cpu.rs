@@ -6,22 +6,38 @@
 //! ([`crate::CpuComponent`]) wraps a core and maps step results onto
 //! simulated clock cycles; unit tests drive cores directly.
 //!
-//! ## Two dispatch engines
+//! ## One engine and its oracle
 //!
-//! The core carries two observably identical execution engines, selected at
-//! run time with [`CpuCore::set_predecode`]:
+//! [`CpuCore::step`] fetches through a per-core *decoded-instruction
+//! cache*: each line holds the [`MicroOp`] flattened form of one program
+//! word, so the hot loop is one direct-mapped probe and one flat dispatch.
 //!
-//! * the **reference interpreter** — the original word-at-a-time path:
-//!   fetch, [`decode`] into the [`Instr`] AST, walk its nested operand/
-//!   addressing-mode matches. Simple, obviously faithful, slow.
-//! * the **predecoded engine** (default) — fetches through a per-core
-//!   *decoded-instruction cache*: each line holds the [`MicroOp`] flattened
-//!   form of one program word, so the hot loop replaces `decode` plus the
-//!   nested match walk with one direct-mapped probe and one flat dispatch.
+//! [`CpuCore::step_reference`] is the original word-at-a-time interpreter:
+//! fetch, [`decode`] into the [`Instr`] AST, walk its nested
+//! operand/addressing-mode matches. Simple, obviously faithful, slower. It
+//! is the oracle that the differential tests and the `iss_dispatch` bench
+//! check `step` against; nothing in the simulator selects it. Both charge
+//! identical cycles, update identical statistics (the cache counters
+//! aside) and raise identical faults.
 //!
-//! Both engines charge identical cycles, update identical statistics and
-//! raise identical faults; `tests/predecode_equivalence.rs` property-tests
-//! that over the whole encodable instruction space.
+//! ## Timing model
+//!
+//! Base cycles charged per committed instruction. External accesses add
+//! the bus transaction latency on top, because the core retries the
+//! instruction until the bus answers.
+//!
+//! | Instruction class                              | Cycles  |
+//! |------------------------------------------------|---------|
+//! | data processing, `movw`/`movt`, `clz`, `nop`   | 1       |
+//! | `mul`, `mla`                                   | 3       |
+//! | `umull`, `smull`, `umlal`, `smlal`             | 4       |
+//! | single load                                    | 2       |
+//! | single store                                   | 1       |
+//! | taken branch, data-processing write to `pc`    | 2       |
+//! | single load into `pc`                          | 2 + 2   |
+//! | block transfer of *n* registers                | 1 + *n* |
+//! | software interrupt                             | 3       |
+//! | condition false (skipped)                      | 1       |
 //!
 //! ## Decoded-instruction cache correctness
 //!
@@ -36,8 +52,7 @@
 //!   revalidates by refetching the word and comparing; a match refreshes
 //!   the line, a mismatch (self-modifying code) re-decodes.
 //!
-//! A stale line can therefore cost a refetch, never a wrong execution, and
-//! functional results are bit-identical with the cache on or off.
+//! A stale line can therefore cost a refetch, never a wrong execution.
 //!
 //! ## External accesses and the retry protocol
 //!
@@ -61,60 +76,19 @@ use crate::flags::{add_with_carry, Flags};
 use crate::localmem::LocalMemory;
 use crate::syscall::{Console, Syscall};
 
-/// Default state of the predecode engine, read once per core from the
-/// `DMI_PREDECODE` environment variable (`"0"` or `"off"` selects the
-/// reference interpreter). CI uses this to run the whole test suite on
-/// both dispatch paths without code changes.
-pub fn predecode_default() -> bool {
-    match std::env::var("DMI_PREDECODE") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
-    }
-}
-
-/// Per-instruction-class base cycle costs of the timing model.
-///
-/// External accesses add the bus transaction latency on top of the base
-/// cost, because the core retries the instruction when the bus answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CycleCosts {
-    /// Data-processing (ALU) operations.
-    pub alu: u64,
-    /// 32-bit multiply (MUL/MLA).
-    pub mul: u64,
-    /// 64-bit multiply (UMULL/SMULL/UMLAL/SMLAL).
-    pub mull: u64,
-    /// Single load, local.
-    pub load: u64,
-    /// Single store, local.
-    pub store: u64,
-    /// Taken branch (including any write to `pc`).
-    pub branch: u64,
-    /// Block transfer base cost.
-    pub ldm_base: u64,
-    /// Block transfer per-register cost.
-    pub ldm_per_reg: u64,
-    /// Software interrupt.
-    pub swi: u64,
-    /// Condition-false (skipped) instruction.
-    pub skipped: u64,
-}
-
-impl Default for CycleCosts {
-    fn default() -> Self {
-        CycleCosts {
-            alu: 1,
-            mul: 3,
-            mull: 4,
-            load: 2,
-            store: 1,
-            branch: 2,
-            ldm_base: 1,
-            ldm_per_reg: 1,
-            swi: 3,
-            skipped: 1,
-        }
-    }
+/// Base cycle costs of the timing model, per instruction class (the
+/// table in the module docs).
+mod cost {
+    pub const ALU: u64 = 1;
+    pub const MUL: u64 = 3;
+    pub const MULL: u64 = 4;
+    pub const LOAD: u64 = 2;
+    pub const STORE: u64 = 1;
+    pub const BRANCH: u64 = 2;
+    pub const LDM_BASE: u64 = 1;
+    pub const LDM_PER_REG: u64 = 1;
+    pub const SWI: u64 = 3;
+    pub const SKIPPED: u64 = 1;
 }
 
 /// An unrecoverable execution error. Faults are sticky: once raised, every
@@ -331,17 +305,18 @@ pub struct CpuStats {
     pub swis: u64,
     /// Instructions skipped by a false condition.
     pub cond_skipped: u64,
-    /// Fetches served by the decoded-instruction cache (predecode engine
-    /// only; zero on the reference path).
+    /// Fetches [`CpuCore::step`] served from the decoded-instruction
+    /// cache. Host-side: not saved state, and
+    /// [`CpuCore::step_reference`] never counts it.
     pub icache_hits: u64,
-    /// Fetches that decoded and filled a cache line (predecode engine
-    /// only).
+    /// Fetches [`CpuCore::step`] decoded into a fresh cache line.
+    /// Host-side, like `icache_hits`.
     pub icache_misses: u64,
 }
 
 impl CpuStats {
-    /// Decoded-instruction-cache hit rate (0.0 when no cached fetches were
-    /// served, e.g. on the reference path).
+    /// Decoded-instruction-cache hit rate (0.0 before the first counted
+    /// fetch).
     pub fn icache_hit_rate(&self) -> f64 {
         let total = self.icache_hits + self.icache_misses;
         if total == 0 {
@@ -437,8 +412,6 @@ pub struct CpuCore {
     regs: [u32; 16],
     flags: Flags,
     local: LocalMemory,
-    ext_base: u32,
-    costs: CycleCosts,
     halted: bool,
     exit_code: u32,
     cycles: u64,
@@ -446,12 +419,12 @@ pub struct CpuCore {
     stats: CpuStats,
     fault: Option<CpuFault>,
     icache: ICache,
-    predecode: bool,
 }
 
 impl CpuCore {
-    /// Default start of the external (shared) window.
-    pub const DEFAULT_EXT_BASE: u32 = 0x8000_0000;
+    /// Start of the external (shared) window: data accesses at or above
+    /// it go to the [`ExtBus`].
+    pub const EXT_BASE: u32 = 0x8000_0000;
 
     /// Creates a core with the given hardware id and private memory.
     /// `sp` starts at the top of private memory; `pc` at its base.
@@ -467,8 +440,6 @@ impl CpuCore {
             regs,
             flags: Flags::default(),
             local,
-            ext_base: Self::DEFAULT_EXT_BASE,
-            costs: CycleCosts::default(),
             halted: false,
             exit_code: 0,
             cycles: 0,
@@ -476,32 +447,7 @@ impl CpuCore {
             stats: CpuStats::default(),
             fault: None,
             icache,
-            predecode: predecode_default(),
         }
-    }
-
-    /// Overrides the external-window base address.
-    pub fn set_ext_base(&mut self, base: u32) {
-        self.ext_base = base;
-    }
-
-    /// Overrides the timing model.
-    pub fn set_costs(&mut self, costs: CycleCosts) {
-        self.costs = costs;
-    }
-
-    /// Selects the dispatch engine: predecoded micro-ops with the
-    /// decoded-instruction cache (`true`, the default) or the reference
-    /// word-at-a-time interpreter (`false`). Both are observably
-    /// identical; the switch exists for A/B measurement and differential
-    /// testing.
-    pub fn set_predecode(&mut self, on: bool) {
-        self.predecode = on;
-    }
-
-    /// Which dispatch engine is active.
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode
     }
 
     /// Loads a program into private memory and jumps to its base.
@@ -594,8 +540,9 @@ impl CpuCore {
     /// fault. The decoded-instruction cache and its
     /// `icache_hits`/`icache_misses` counters are *not* serialized: the
     /// cache is a validated host-side cache rebuilt lazily after
-    /// restore, so the bytes are the same on both dispatch engines and
-    /// every architectural effect stays bit-identical.
+    /// restore, so the bytes do not depend on which of [`step`](Self::step)
+    /// and [`step_reference`](Self::step_reference) ran, and every
+    /// architectural effect stays bit-identical.
     pub fn save_state(&self, w: &mut dmi_kernel::StateWriter) {
         for r in &self.regs {
             w.put_u32(*r);
@@ -667,7 +614,7 @@ impl CpuCore {
 
     #[inline]
     fn is_external(&self, addr: u32) -> bool {
-        addr >= self.ext_base
+        addr >= Self::EXT_BASE
     }
 
     /// Register read with pc-relative semantics: `pc` reads as the address
@@ -730,8 +677,9 @@ impl CpuCore {
         }
     }
 
-    /// Executes one instruction. See the module docs for the stall/retry
-    /// contract on external accesses and the dispatch-engine selection.
+    /// Executes one instruction: fetch through the decoded-instruction
+    /// cache, one flat dispatch over the micro-op. See the module docs for
+    /// the stall/retry contract on external accesses.
     pub fn step(&mut self, ext: &mut dyn ExtBus) -> StepEvent {
         if let Some(f) = &self.fault {
             return StepEvent::Fault(f.clone());
@@ -739,23 +687,13 @@ impl CpuCore {
         if self.halted {
             return StepEvent::Halted;
         }
-        if self.predecode {
-            self.step_predecoded(ext)
-        } else {
-            self.step_reference(ext)
-        }
-    }
-
-    /// The predecoded engine: fetch through the decoded-instruction cache,
-    /// dispatch one flat match over the micro-op.
-    fn step_predecoded(&mut self, ext: &mut dyn ExtBus) -> StepEvent {
         let pc = self.regs[15];
         let gen = self.local.generation();
 
         // Resolve the cacheable word index: the fused fast path reuses the
         // successor predicted by the previous fetch; otherwise derive it
         // from scratch (and bypass the cache for unaligned or out-of-range
-        // program counters, which mirror the reference fetch exactly).
+        // program counters, which fault exactly like `step_reference`).
         let widx = if pc == self.icache.fused_pc && self.icache.fused_widx < self.icache.words {
             self.icache.fused_widx
         } else {
@@ -831,7 +769,7 @@ impl CpuCore {
         if !self.flags.check(uop.cond) {
             self.stats.cond_skipped += 1;
             self.advance();
-            return self.done(self.costs.skipped);
+            return self.done(cost::SKIPPED);
         }
         match uop.kind {
             UopKind::AluImm {
@@ -850,7 +788,7 @@ impl CpuCore {
                 }
                 self.regs[15] = target;
                 self.stats.branches += 1;
-                self.done(self.costs.branch)
+                self.done(cost::BRANCH)
             }
             UopKind::Load {
                 size, rd, rn, offset, writeback, post,
@@ -880,7 +818,7 @@ impl CpuCore {
                     self.flags.set_nz(r);
                 }
                 self.advance();
-                self.done(self.costs.mul)
+                self.done(cost::MUL)
             }
             UopKind::Mul64 {
                 signed, acc, s, rd, rn, rs, rm,
@@ -905,7 +843,7 @@ impl CpuCore {
                     self.flags.set_nz64(r);
                 }
                 self.advance();
-                self.done(self.costs.mull)
+                self.done(cost::MULL)
             }
             UopKind::BranchReg { link, rm } => {
                 let target = self.read_op(rm) & !3;
@@ -914,7 +852,7 @@ impl CpuCore {
                 }
                 self.regs[15] = target;
                 self.stats.branches += 1;
-                self.done(self.costs.branch)
+                self.done(cost::BRANCH)
             }
             UopKind::LoadMulti {
                 rn, list, writeback, db,
@@ -930,18 +868,18 @@ impl CpuCore {
                     imm as u32
                 };
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
             UopKind::Clz { rd, rm } => {
                 let v = self.read_op(rm).leading_zeros();
                 self.regs[rd.index() as usize] = v;
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
             UopKind::Swi { imm } => self.exec_swi(imm),
             UopKind::Nop => {
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
             UopKind::PcFault => {
                 let pc = self.regs[15];
@@ -959,10 +897,21 @@ impl CpuCore {
         }
     }
 
-    /// The reference engine: the original fetch → [`decode`] → nested-match
-    /// interpreter, kept verbatim as the behavioural oracle for the
-    /// predecoded path (and selectable at run time for A/B measurement).
-    fn step_reference(&mut self, ext: &mut dyn ExtBus) -> StepEvent {
+    /// Executes one instruction on the reference interpreter: fetch,
+    /// [`decode`], nested-match walk, no cache. Same contract as
+    /// [`step`](Self::step) (sticky faults, idempotent halt, stall and
+    /// retry) with identical cycles, statistics and faults, except that
+    /// it never counts `icache_hits`/`icache_misses`. It is the oracle
+    /// that the differential tests (`tests/predecode_equivalence.rs`, the
+    /// GSM kernel and DSM workload suites) and the `iss_dispatch` bench
+    /// check `step` against; nothing in the simulator calls it.
+    pub fn step_reference(&mut self, ext: &mut dyn ExtBus) -> StepEvent {
+        if let Some(f) = &self.fault {
+            return StepEvent::Fault(f.clone());
+        }
+        if self.halted {
+            return StepEvent::Halted;
+        }
         let pc = self.regs[15];
         let word = match self.local.read32(pc) {
             Ok(w) => w,
@@ -975,12 +924,15 @@ impl CpuCore {
         if !self.flags.check(instr.cond()) {
             self.stats.cond_skipped += 1;
             self.advance();
-            return self.done(self.costs.skipped);
+            return self.done(cost::SKIPPED);
         }
         match instr {
             Instr::Dp {
                 op, s, rd, rn, op2, ..
-            } => self.exec_dp(op, s, rd, rn, op2),
+            } => {
+                let (op2v, shifter_carry) = self.shifter(op2);
+                self.exec_alu(op, s, rd, rn, op2v, shifter_carry)
+            }
             Instr::Mul {
                 op, s, rd, rn, rs, rm, ..
             } => self.exec_mul(op, s, rd, rn, rs, rm),
@@ -1001,7 +953,7 @@ impl CpuCore {
                 rn,
                 list,
                 ..
-            } => self.exec_ldstm(load, mode, writeback, rn, list),
+            } => self.exec_ldstm_flat(load, mode == MultiMode::Db, writeback, rn, list),
             Instr::Branch { link, offset, .. } => {
                 let target = self
                     .regs[15]
@@ -1012,7 +964,7 @@ impl CpuCore {
                 }
                 self.regs[15] = target;
                 self.stats.branches += 1;
-                self.done(self.costs.branch)
+                self.done(cost::BRANCH)
             }
             Instr::Bx { link, rm, .. } => {
                 let target = self.read_op(rm) & !3;
@@ -1021,12 +973,12 @@ impl CpuCore {
                 }
                 self.regs[15] = target;
                 self.stats.branches += 1;
-                self.done(self.costs.branch)
+                self.done(cost::BRANCH)
             }
             Instr::Swi { imm, .. } => self.exec_swi(imm),
             Instr::Nop { .. } => {
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
             Instr::Clz { rd, rm, .. } => {
                 if rd.is_pc() {
@@ -1035,7 +987,7 @@ impl CpuCore {
                 let v = self.read_op(rm).leading_zeros();
                 self.regs[rd.index() as usize] = v;
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
             Instr::MovW { top, rd, imm, .. } => {
                 if rd.is_pc() {
@@ -1048,7 +1000,7 @@ impl CpuCore {
                     imm as u32
                 };
                 self.advance();
-                self.done(self.costs.alu)
+                self.done(cost::ALU)
             }
         }
     }
@@ -1120,21 +1072,16 @@ impl CpuCore {
 
         if op.is_compare() {
             self.advance();
-            return self.done(self.costs.alu);
+            return self.done(cost::ALU);
         }
         if rd.is_pc() {
             self.regs[15] = result & !3;
             self.stats.branches += 1;
-            return self.done(self.costs.branch);
+            return self.done(cost::BRANCH);
         }
         self.regs[rd.index() as usize] = result;
         self.advance();
-        self.done(self.costs.alu)
-    }
-
-    fn exec_dp(&mut self, op: DpOp, s: bool, rd: Reg, rn: Reg, op2: Operand2) -> StepEvent {
-        let (op2v, shifter_carry) = self.shifter(op2);
-        self.exec_alu(op, s, rd, rn, op2v, shifter_carry)
+        self.done(cost::ALU)
     }
 
     fn exec_mul(&mut self, op: MulOp, s: bool, rd: Reg, rn: Reg, rs: Reg, rm: Reg) -> StepEvent {
@@ -1155,7 +1102,7 @@ impl CpuCore {
                     self.flags.set_nz(r);
                 }
                 self.advance();
-                self.done(self.costs.mul)
+                self.done(cost::MUL)
             }
             MulOp::Umull | MulOp::Umlal | MulOp::Smull | MulOp::Smlal => {
                 let product = match op {
@@ -1175,7 +1122,7 @@ impl CpuCore {
                     self.flags.set_nz64(r);
                 }
                 self.advance();
-                self.done(self.costs.mull)
+                self.done(cost::MULL)
             }
         }
     }
@@ -1304,22 +1251,11 @@ impl CpuCore {
             self.advance();
         }
         let cost = if load {
-            self.costs.load
+            cost::LOAD
         } else {
-            self.costs.store
+            cost::STORE
         };
-        self.done(if branched { cost + self.costs.branch } else { cost })
-    }
-
-    fn exec_ldstm(
-        &mut self,
-        load: bool,
-        mode: MultiMode,
-        writeback: bool,
-        rn: Reg,
-        list: u16,
-    ) -> StepEvent {
-        self.exec_ldstm_flat(load, mode == MultiMode::Db, writeback, rn, list)
+        self.done(if branched { cost + cost::BRANCH } else { cost })
     }
 
     /// Block-transfer execution with the address progression reduced to a
@@ -1381,7 +1317,7 @@ impl CpuCore {
             if !branched {
                 self.advance();
             }
-            self.done(self.costs.ldm_base + self.costs.ldm_per_reg * count as u64)
+            self.done(cost::LDM_BASE + cost::LDM_PER_REG * count as u64)
         } else {
             for i in 0..16 {
                 if list & (1 << i) != 0 {
@@ -1402,7 +1338,7 @@ impl CpuCore {
             }
             self.stats.stores += count as u64;
             self.advance();
-            self.done(self.costs.ldm_base + self.costs.ldm_per_reg * count as u64)
+            self.done(cost::LDM_BASE + cost::LDM_PER_REG * count as u64)
         }
     }
 
@@ -1416,29 +1352,29 @@ impl CpuCore {
                 self.halted = true;
                 self.exit_code = self.regs[0];
                 self.advance();
-                self.done(self.costs.swi)
+                self.done(cost::SWI)
             }
             Syscall::PutChar => {
                 self.console.put(self.regs[0] as u8);
                 self.advance();
-                self.done(self.costs.swi)
+                self.done(cost::SWI)
             }
             Syscall::Cycles => {
                 self.regs[0] = self.cycles as u32;
                 self.regs[1] = (self.cycles >> 32) as u32;
                 self.advance();
-                self.done(self.costs.swi)
+                self.done(cost::SWI)
             }
             Syscall::PutInt => {
                 let text = format!("{}\n", self.regs[0] as i32);
                 self.console.put_str(&text);
                 self.advance();
-                self.done(self.costs.swi)
+                self.done(cost::SWI)
             }
             Syscall::CpuId => {
                 self.regs[0] = self.id;
                 self.advance();
-                self.done(self.costs.swi)
+                self.done(cost::SWI)
             }
         }
     }

@@ -8,10 +8,11 @@
 //!
 //! * [`CpuCore`] — a pure interpreter (registers, flags, private memory,
 //!   timing model, SWI services) that can be unit-tested and benchmarked
-//!   without a simulation kernel. It dispatches predecoded micro-ops
-//!   through a per-core decoded-instruction cache by default, with the
-//!   original word-at-a-time interpreter selectable at run time
-//!   ([`CpuCore::set_predecode`]) — see `README.md` in this crate;
+//!   without a simulation kernel. [`CpuCore::step`] dispatches predecoded
+//!   micro-ops through a per-core decoded-instruction cache;
+//!   [`CpuCore::step_reference`], the original word-at-a-time
+//!   interpreter, is kept only as the oracle that tests and benches check
+//!   `step` against — see `README.md` in this crate;
 //! * [`CpuComponent`] — the co-simulation wrapper that clocks a core and
 //!   speaks the bus-master handshake for accesses into the shared window,
 //!   stalling the core until the interconnect answers.
@@ -48,7 +49,7 @@ mod syscall;
 
 pub use bus::{ExtBus, ExtResult, ExtWidth, FlatBus, NoBus};
 pub use component::{BusMasterPorts, CpuComponent, CpuComponentStats, HaltMonitor};
-pub use cpu::{predecode_default, CpuCore, CpuFault, CpuStats, CycleCosts, StepEvent};
+pub use cpu::{CpuCore, CpuFault, CpuStats, StepEvent};
 pub use flags::{add_with_carry, Flags};
 pub use localmem::{LocalMemory, OutOfRange};
 pub use syscall::{Console, Syscall};

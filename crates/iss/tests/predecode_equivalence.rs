@@ -1,21 +1,73 @@
-//! Differential tests of the two dispatch engines: for every encodable
-//! instruction, executing the predecoded micro-op (decoded-instruction
-//! cache on) and interpreting the word through the reference path must
-//! produce identical architectural state, cycle charges, statistics and
-//! fault behaviour. Includes the self-modifying-code invalidation
-//! regression tests for the cache.
+//! Differential tests of `CpuCore::step` against its oracle
+//! `CpuCore::step_reference`: for every encodable instruction, executing
+//! the predecoded micro-op through the decoded-instruction cache and
+//! interpreting the word on the reference path must produce identical
+//! architectural state, cycle charges, statistics and fault behaviour,
+//! also when the bus stalls each external access before serving it.
+//! Includes the self-modifying-code invalidation regression tests for the
+//! cache.
 
 use dmi_isa::{decode, Asm, Cond, Reg};
-use dmi_iss::{CpuCore, ExtBus, FlatBus, LocalMemory, StepEvent};
+use dmi_iss::{CpuCore, ExtBus, ExtResult, ExtWidth, FlatBus, LocalMemory, NoBus, StepEvent};
 use proptest::prelude::*;
 
 const MEM_SIZE: u32 = 0x1000;
 const CODE_BASE: u32 = 0x100;
-const EXT_BASE: u32 = CpuCore::DEFAULT_EXT_BASE;
+const EXT_BASE: u32 = CpuCore::EXT_BASE;
 const EXT_SIZE: u32 = 0x100;
 
+/// One way to execute an instruction.
+type Engine = fn(&mut CpuCore, &mut dyn ExtBus) -> StepEvent;
+
+/// The engine under test and its oracle, named for assertion messages.
+const ENGINES: [(&str, Engine); 2] = [
+    ("step", CpuCore::step),
+    ("step_reference", CpuCore::step_reference),
+];
+
+/// `CpuCore::run` on a chosen engine with no external bus: steps until
+/// the core stops or `max_steps` instructions ran.
+fn run(cpu: &mut CpuCore, engine: Engine, max_steps: u64) -> StepEvent {
+    for _ in 0..max_steps {
+        match engine(cpu, &mut NoBus) {
+            StepEvent::Executed { .. } => {}
+            other => return other,
+        }
+    }
+    StepEvent::Executed { cycles: 0 }
+}
+
+/// A `FlatBus` that answers `Stall` `stalls` times before it serves each
+/// access, as an interconnect does while it arbitrates.
+struct StallingBus {
+    flat: FlatBus,
+    stalls: u32,
+    left: u32,
+}
+
+impl StallingBus {
+    fn serve(&mut self, access: impl FnOnce(&mut FlatBus) -> ExtResult) -> ExtResult {
+        if self.left > 0 {
+            self.left -= 1;
+            return ExtResult::Stall;
+        }
+        self.left = self.stalls;
+        access(&mut self.flat)
+    }
+}
+
+impl ExtBus for StallingBus {
+    fn ext_read(&mut self, addr: u32, width: ExtWidth) -> ExtResult {
+        self.serve(|b| b.ext_read(addr, width))
+    }
+
+    fn ext_write(&mut self, addr: u32, value: u32, width: ExtWidth) -> ExtResult {
+        self.serve(|b| b.ext_write(addr, value, width))
+    }
+}
+
 /// Everything observable about a core after a step sequence.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Observation {
     events: Vec<StepEvent>,
     regs: Vec<u32>,
@@ -43,8 +95,8 @@ fn observe(cpu: &CpuCore, bus: &mut FlatBus, events: Vec<StepEvent>) -> Observat
     let s = cpu.stats();
     let f = cpu.flags();
     let ext_mem = (0..EXT_SIZE / 4)
-        .map(|i| match bus.ext_read(EXT_BASE + i * 4, dmi_iss::ExtWidth::Word) {
-            dmi_iss::ExtResult::Done(v) => v,
+        .map(|i| match bus.ext_read(EXT_BASE + i * 4, ExtWidth::Word) {
+            ExtResult::Done(v) => v,
             other => panic!("flat bus readback failed: {other:?}"),
         })
         .collect();
@@ -73,9 +125,8 @@ fn observe(cpu: &CpuCore, bus: &mut FlatBus, events: Vec<StepEvent>) -> Observat
 
 /// Builds a core + bus pair: program words at `CODE_BASE`, registers and
 /// flags from the given seeds, data pattern in local and external memory.
-fn setup(words: &[u32], regs: &[u32; 13], flags: u8, predecode: bool) -> (CpuCore, FlatBus) {
+fn setup(words: &[u32], regs: &[u32; 13], flags: u8) -> (CpuCore, FlatBus) {
     let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-    cpu.set_predecode(predecode);
     // Deterministic data pattern so wild loads read defined values.
     for a in (0..MEM_SIZE).step_by(4) {
         cpu.local_mut()
@@ -97,7 +148,7 @@ fn setup(words: &[u32], regs: &[u32; 13], flags: u8, predecode: bool) -> (CpuCor
         bus.ext_write(
             EXT_BASE + i * 4,
             0xABu32.wrapping_mul(i + 1),
-            dmi_iss::ExtWidth::Word,
+            ExtWidth::Word,
         );
     }
     bus.accesses = 0;
@@ -110,22 +161,66 @@ fn setup(words: &[u32], regs: &[u32; 13], flags: u8, predecode: bool) -> (CpuCor
     (cpu, bus)
 }
 
-/// Runs the same program on both engines and returns their observations.
-fn run_both(words: &[u32], regs: &[u32; 13], flags: u8, steps: u32) -> (Observation, Observation) {
-    let run = |predecode: bool| {
-        let (mut cpu, mut bus) = setup(words, regs, flags, predecode);
-        let mut events = Vec::new();
-        for _ in 0..steps {
-            let ev = cpu.step(&mut bus);
-            let stop = !matches!(ev, StepEvent::Executed { .. });
-            events.push(ev);
-            if stop {
-                break;
-            }
-        }
-        observe(&cpu, &mut bus, events)
+/// Runs a program on `engine` for up to `steps` instructions, behind a
+/// bus that stalls each external access `stalls` times. A stall commits
+/// nothing, so the loop retries it; its events stay in the observation.
+fn run_engine(
+    engine: Engine,
+    words: &[u32],
+    regs: &[u32; 13],
+    flags: u8,
+    steps: u32,
+    stalls: u32,
+) -> Observation {
+    let (mut cpu, flat) = setup(words, regs, flags);
+    let mut bus = StallingBus {
+        flat,
+        stalls,
+        left: stalls,
     };
-    (run(true), run(false))
+    let mut events = Vec::new();
+    let mut executed = 0;
+    while executed < steps {
+        let ev = engine(&mut cpu, &mut bus);
+        let stop = match ev {
+            StepEvent::Executed { .. } => {
+                executed += 1;
+                false
+            }
+            StepEvent::Stalled => false,
+            _ => true,
+        };
+        events.push(ev);
+        assert!(
+            events.len() <= (steps * (stalls + 1)) as usize,
+            "an access stalled after the bus served it"
+        );
+        if stop {
+            break;
+        }
+    }
+    observe(&cpu, &mut bus.flat, events)
+}
+
+/// Runs the same program on both engines and returns their observations.
+/// With stalls, `step` must also end where it ends unstalled, its stall
+/// events aside.
+fn run_both(
+    words: &[u32],
+    regs: &[u32; 13],
+    flags: u8,
+    steps: u32,
+    stalls: u32,
+) -> (Observation, Observation) {
+    let [step, reference] =
+        ENGINES.map(|(_, engine)| run_engine(engine, words, regs, flags, steps, stalls));
+    if stalls > 0 {
+        let mut retried = step.clone();
+        retried.events.retain(|ev| *ev != StepEvent::Stalled);
+        let unstalled = run_engine(CpuCore::step, words, regs, flags, steps, 0);
+        assert_eq!(retried, unstalled, "a stall committed state");
+    }
+    (step, reference)
 }
 
 /// Register-value strategy biased toward addresses that exercise local
@@ -168,13 +263,15 @@ proptest! {
         word in instr_word(),
         regs in reg_file(),
         flags in 0u8..16,
+        stalls in 0u32..=3,
     ) {
-        let (pre, refr) = run_both(&[word], &regs, flags, 1);
+        let (pre, refr) = run_both(&[word], &regs, flags, 1, stalls);
         prop_assert_eq!(
             &pre, &refr,
-            "engines diverged on word {:#010x} ({})",
+            "engines diverged on word {:#010x} ({}), {} stalls",
             word,
-            dmi_isa::disasm(word)
+            dmi_isa::disasm(word),
+            stalls
         );
     }
 
@@ -186,9 +283,15 @@ proptest! {
         words in proptest::collection::vec(instr_word(), 1..24),
         regs in reg_file(),
         flags in 0u8..16,
+        stalls in 0u32..=3,
     ) {
-        let (pre, refr) = run_both(&words, &regs, flags, 200);
-        prop_assert_eq!(&pre, &refr, "engines diverged on program {:x?}", words);
+        let (pre, refr) = run_both(&words, &regs, flags, 200, stalls);
+        prop_assert_eq!(
+            &pre, &refr,
+            "engines diverged on program {:x?}, {} stalls",
+            words,
+            stalls
+        );
     }
 }
 
@@ -197,7 +300,7 @@ proptest! {
 /// loop itself, and require the rewritten semantics on the next pass.
 #[test]
 fn self_modifying_code_invalidates_cache() {
-    let run = |predecode: bool| {
+    let run_on = |engine: Engine| {
         let mut a = Asm::new();
         // r4 counts passes; r1 is the observed payload.
         a.li(Reg::R4, 0);
@@ -239,14 +342,13 @@ fn self_modifying_code_invalidates_cache() {
         p = a.assemble(CODE_BASE).unwrap();
 
         let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-        cpu.set_predecode(predecode);
         cpu.load_program(&p);
-        let ev = cpu.run(&mut dmi_iss::NoBus, 10_000);
+        let ev = run(&mut cpu, engine, 10_000);
         assert_eq!(ev, StepEvent::Halted, "program must halt ({ev:?})");
         (cpu.reg(Reg::R1), cpu.reg(Reg::R4), cpu.cycles(), cpu.stats())
     };
-    let (r1_pre, passes_pre, cycles_pre, stats_pre) = run(true);
-    let (r1_ref, passes_ref, cycles_ref, _) = run(false);
+    let (r1_pre, passes_pre, cycles_pre, stats_pre) = run_on(CpuCore::step);
+    let (r1_ref, passes_ref, cycles_ref, _) = run_on(CpuCore::step_reference);
     assert_eq!(passes_pre, 2);
     assert_eq!(
         r1_pre, 42,
@@ -289,23 +391,22 @@ fn store_to_cached_line_takes_effect_next_fetch() {
     a.swi(0);
     let p = a.assemble(CODE_BASE).unwrap();
 
-    for predecode in [true, false] {
+    for (name, engine) in ENGINES {
         let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-        cpu.set_predecode(predecode);
         cpu.load_program(&p);
-        assert_eq!(cpu.run(&mut dmi_iss::NoBus, 10_000), StepEvent::Halted);
+        assert_eq!(run(&mut cpu, engine, 10_000), StepEvent::Halted);
         // Pass 1 adds 1, passes 2 and 3 add 9 each.
         assert_eq!(
             cpu.reg(Reg::R1),
             19,
-            "predecode={predecode}: rewritten add must execute on later passes"
+            "{name}: rewritten add must execute on later passes"
         );
     }
 }
 
-/// Dispatch counters: the cached path reports hits after the first pass
-/// over a loop; the reference path reports none. The counters are not
-/// saved state: both engines save the same bytes.
+/// Dispatch counters: `step` reports hits after the first pass over a
+/// loop; `step_reference` reports none. The counters are not saved
+/// state: both engines save the same bytes.
 #[test]
 fn icache_counters_surface() {
     let mut a = Asm::new();
@@ -317,11 +418,10 @@ fn icache_counters_surface() {
     a.swi(0);
     let p = a.assemble(0).unwrap();
 
-    let run = |predecode: bool| {
+    let run_on = |engine: Engine| {
         let mut cpu = CpuCore::new(0, LocalMemory::new(0, MEM_SIZE));
-        cpu.set_predecode(predecode);
         cpu.load_program(&p);
-        assert_eq!(cpu.run(&mut dmi_iss::NoBus, 100_000), StepEvent::Halted);
+        assert_eq!(run(&mut cpu, engine, 100_000), StepEvent::Halted);
         cpu
     };
     let saved = |cpu: &CpuCore| {
@@ -330,7 +430,7 @@ fn icache_counters_surface() {
         w.into_bytes()
     };
 
-    let cached = run(true);
+    let cached = run_on(CpuCore::step);
     let s = cached.stats();
     assert!(s.icache_hits > 100, "loop iterations must hit: {s:?}");
     assert!(
@@ -339,7 +439,7 @@ fn icache_counters_surface() {
     );
     assert!(s.icache_hit_rate() > 0.9);
 
-    let reference = run(false);
+    let reference = run_on(CpuCore::step_reference);
     let s = reference.stats();
     assert_eq!((s.icache_hits, s.icache_misses), (0, 0));
     assert_eq!(s.icache_hit_rate(), 0.0);

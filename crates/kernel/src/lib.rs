@@ -31,7 +31,7 @@
 //! (`DMI_KERNEL_SPECIALIZE=0` or
 //! [`Simulator::set_clock_specialization`]`(false)`: queued clock
 //! toggles, every toggle written, committed and scanned, one `Ctx` per
-//! wake — like the ISS's `DMI_PREDECODE=0`). A snapshot does not record
+//! wake). A snapshot does not record
 //! which path ran. The event queue is a binary heap (`EventQueue` in
 //! `event.rs`), the kernel's only queue.
 //!

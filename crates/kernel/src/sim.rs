@@ -131,8 +131,7 @@ pub enum QueueKind {
 /// committed and scanned, one `Ctx` per wake). On by default.
 ///
 /// The reference path is kept purely so differential tests (and CI) can
-/// pin the fast paths bit-identical to it — like `DMI_PREDECODE=0` for
-/// the ISS dispatch engines.
+/// pin the fast paths bit-identical to it.
 pub fn clock_specialization_default() -> bool {
     match std::env::var("DMI_KERNEL_SPECIALIZE") {
         Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("off")),

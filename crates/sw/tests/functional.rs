@@ -1,12 +1,25 @@
 //! Functional verification of the DSM driver and every workload program:
 //! each runs to completion on a bare CPU core against the real protocol
 //! semantics (wrapper and, where supported, simulated-heap backends).
+//! Every run happens twice, on `CpuCore::step` and on the ISS's oracle
+//! `CpuCore::step_reference`, each over a fresh bus, and the two must end
+//! in the same state.
 
 use dmi_core::{SimHeapBackend, SimHeapConfig, VptrPolicy, WrapperBackend, WrapperConfig};
-use dmi_iss::{CpuCore, LocalMemory, StepEvent};
+use dmi_isa::Program;
+use dmi_iss::{CpuCore, CpuStats, ExtBus, Flags, LocalMemory, StepEvent};
 use dmi_sw::{workloads, FunctionalDsmBus, WorkloadCfg};
 
 const MEM_BASE: u32 = 0x8000_0000;
+
+/// Private memory of a workload core.
+const LOCAL_SIZE: u32 = 0x20000;
+
+/// One way to execute an instruction.
+type Engine = fn(&mut CpuCore, &mut dyn ExtBus) -> StepEvent;
+
+/// The engine under test, then its oracle.
+const ENGINES: [Engine; 2] = [CpuCore::step, CpuCore::step_reference];
 
 fn wrapper_bus() -> FunctionalDsmBus {
     let mut bus = FunctionalDsmBus::new();
@@ -28,17 +41,62 @@ fn simheap_bus() -> FunctionalDsmBus {
     bus
 }
 
-fn run_to_halt(prog: &dmi_isa::Program, bus: &mut FunctionalDsmBus) -> u32 {
-    let mut cpu = CpuCore::new(0, LocalMemory::new(0, 0x20000));
+fn new_core(id: u32, prog: &Program) -> CpuCore {
+    let mut cpu = CpuCore::new(id, LocalMemory::new(0, LOCAL_SIZE));
     cpu.load_program(prog);
-    match cpu.run(bus, 50_000_000) {
-        StepEvent::Halted => cpu.exit_code(),
-        other => panic!(
-            "program did not halt: {other:?} at pc={:#x}, fault={:?}",
-            cpu.pc(),
-            cpu.fault()
-        ),
-    }
+    cpu
+}
+
+/// Requires a `step` core and its `step_reference` twin to agree on
+/// registers, flags, cycles, statistics (the host-side cache counters
+/// aside), console, exit code and private memory.
+fn assert_same(cpu: &CpuCore, oracle: &CpuCore) {
+    let outcome = |c: &CpuCore| -> (Vec<u32>, Flags, u64, CpuStats, String, u32) {
+        let stats = CpuStats {
+            icache_hits: 0,
+            icache_misses: 0,
+            ..c.stats()
+        };
+        let regs = (0..16).map(|i| c.reg(dmi_isa::Reg::new(i))).collect();
+        let console = c.console().text();
+        (regs, c.flags(), c.cycles(), stats, console, c.exit_code())
+    };
+    assert_eq!(
+        outcome(cpu),
+        outcome(oracle),
+        "cpu{}: engines diverged",
+        cpu.id()
+    );
+    let image = |c: &CpuCore| c.local().read_slice(0, LOCAL_SIZE as usize).unwrap().to_vec();
+    assert!(
+        image(cpu) == image(oracle),
+        "cpu{}: the engines left different local memory",
+        cpu.id()
+    );
+}
+
+/// Runs `prog` to halt on each engine over a fresh bus from `make_bus`,
+/// requires the runs to agree, and returns the exit code and the bus of
+/// the `step` run.
+fn run_to_halt(prog: &Program, make_bus: impl Fn() -> FunctionalDsmBus) -> (u32, FunctionalDsmBus) {
+    let [(cpu, bus), (oracle, _)] = ENGINES.map(|step| {
+        let mut bus = make_bus();
+        let mut cpu = new_core(0, prog);
+        for _ in 0..50_000_000 {
+            match step(&mut cpu, &mut bus) {
+                StepEvent::Executed { .. } => {}
+                StepEvent::Halted => return (cpu, bus),
+                other => panic!(
+                    "program did not halt: {other:?} at pc={:#x}, fault={:?}",
+                    cpu.pc(),
+                    cpu.fault()
+                ),
+            }
+        }
+        panic!("program did not halt within its step budget");
+    });
+    assert_same(&cpu, &oracle);
+    (cpu.exit_code(), bus)
 }
 
 #[test]
@@ -47,8 +105,8 @@ fn alloc_churn_on_wrapper() {
         iterations: 50,
         ..WorkloadCfg::default()
     };
-    let mut bus = wrapper_bus();
-    assert_eq!(run_to_halt(&workloads::alloc_churn(&cfg), &mut bus), 0);
+    let (code, bus) = run_to_halt(&workloads::alloc_churn(&cfg), wrapper_bus);
+    assert_eq!(code, 0);
     let stats = bus.backend(0).stats();
     assert_eq!(stats.allocs, 50);
     assert_eq!(stats.frees, 50);
@@ -62,8 +120,8 @@ fn alloc_churn_on_simheap() {
         iterations: 25,
         ..WorkloadCfg::default()
     };
-    let mut bus = simheap_bus();
-    assert_eq!(run_to_halt(&workloads::alloc_churn(&cfg), &mut bus), 0);
+    let (code, bus) = run_to_halt(&workloads::alloc_churn(&cfg), simheap_bus);
+    assert_eq!(code, 0);
     assert_eq!(bus.backend(0).stats().allocs, 25);
 }
 
@@ -75,8 +133,8 @@ fn scalar_rw_on_both_models() {
         ..WorkloadCfg::default()
     };
     let prog = workloads::scalar_rw(&cfg);
-    assert_eq!(run_to_halt(&prog, &mut wrapper_bus()), 0);
-    assert_eq!(run_to_halt(&prog, &mut simheap_bus()), 0);
+    assert_eq!(run_to_halt(&prog, wrapper_bus).0, 0);
+    assert_eq!(run_to_halt(&prog, simheap_bus).0, 0);
 }
 
 #[test]
@@ -86,13 +144,13 @@ fn burst_and_scalar_copy() {
         burst_len: 32,
         ..WorkloadCfg::default()
     };
-    let mut bus = wrapper_bus();
-    assert_eq!(run_to_halt(&workloads::burst_copy(&cfg), &mut bus), 0);
+    let (code, bus) = run_to_halt(&workloads::burst_copy(&cfg), wrapper_bus);
+    assert_eq!(code, 0);
     let beats = bus.backend(0).stats().burst_beats;
     assert_eq!(beats, 8 * 32 * 2, "write + read beats per iteration");
 
-    let mut bus = wrapper_bus();
-    assert_eq!(run_to_halt(&workloads::scalar_copy(&cfg), &mut bus), 0);
+    let (code, bus) = run_to_halt(&workloads::scalar_copy(&cfg), wrapper_bus);
+    assert_eq!(code, 0);
     let s = bus.backend(0).stats();
     assert_eq!(s.writes, 8 * 32);
     assert_eq!(s.reads, 8 * 32);
@@ -104,8 +162,8 @@ fn linked_list_pointer_arithmetic() {
         iterations: 40,
         ..WorkloadCfg::default()
     };
-    let mut bus = wrapper_bus();
-    assert_eq!(run_to_halt(&workloads::linked_list(&cfg), &mut bus), 0);
+    let (code, bus) = run_to_halt(&workloads::linked_list(&cfg), wrapper_bus);
+    assert_eq!(code, 0);
     // 40 nodes stay allocated (list is never freed).
     assert_eq!(bus.backend(0).stats().allocs, 40);
 }
@@ -116,40 +174,47 @@ fn linked_list_on_first_fit_policy() {
         iterations: 24,
         ..WorkloadCfg::default()
     };
-    let mut bus = FunctionalDsmBus::new();
-    bus.add_module(
-        MEM_BASE,
-        0x1000,
-        Box::new(WrapperBackend::new(WrapperConfig {
-            policy: VptrPolicy::FirstFitReuse,
-            ..WrapperConfig::default()
-        })),
-    );
-    assert_eq!(run_to_halt(&workloads::linked_list(&cfg), &mut bus), 0);
+    let first_fit_bus = || {
+        let mut bus = FunctionalDsmBus::new();
+        bus.add_module(
+            MEM_BASE,
+            0x1000,
+            Box::new(WrapperBackend::new(WrapperConfig {
+                policy: VptrPolicy::FirstFitReuse,
+                ..WrapperConfig::default()
+            })),
+        );
+        bus
+    };
+    assert_eq!(run_to_halt(&workloads::linked_list(&cfg), first_fit_bus).0, 0);
 }
 
 /// Interleaves two cores over one shared wrapper, scheduling one
 /// instruction each alternately, to validate the pipe protocol and
-/// reservations without the full co-simulation stack.
-fn run_pair(prog_a: &dmi_isa::Program, prog_b: &dmi_isa::Program) -> (u32, u32) {
-    let mut bus = wrapper_bus();
-    let mut a = CpuCore::new(0, LocalMemory::new(0, 0x20000));
-    a.load_program(prog_a);
-    let mut b = CpuCore::new(1, LocalMemory::new(0, 0x20000));
-    b.load_program(prog_b);
-    for step in 0..100_000_000u64 {
-        if a.is_halted() && b.is_halted() {
-            return (a.exit_code(), b.exit_code());
+/// reservations without the full co-simulation stack. Runs on each
+/// engine over a fresh bus, requires the runs to agree, and returns the
+/// exit codes and the bus of the `step` run.
+fn run_pair(prog_a: &Program, prog_b: &Program) -> ((u32, u32), FunctionalDsmBus) {
+    let [(cores, bus), (oracles, _)] = ENGINES.map(|step| {
+        let mut bus = wrapper_bus();
+        let mut cores = [new_core(0, prog_a), new_core(1, prog_b)];
+        for n in 0..200_000_000u64 {
+            if cores.iter().all(CpuCore::is_halted) {
+                return (cores, bus);
+            }
+            let master = (n % 2) as usize;
+            bus.master = master as u8;
+            match step(&mut cores[master], &mut bus) {
+                StepEvent::Executed { .. } | StepEvent::Halted => {}
+                other => panic!("cpu{master}: {other:?}"),
+            }
         }
-        let (cpu, master) = if step % 2 == 0 { (&mut a, 0) } else { (&mut b, 1) };
-        bus.master = master;
-        match cpu.step(&mut bus) {
-            StepEvent::Executed { .. } | StepEvent::Halted => {}
-            StepEvent::Stalled => panic!("functional bus never stalls"),
-            StepEvent::Fault(f) => panic!("cpu{master} fault: {f}"),
-        }
+        panic!("pair did not converge");
+    });
+    for (cpu, oracle) in cores.iter().zip(&oracles) {
+        assert_same(cpu, oracle);
     }
-    panic!("pair did not converge");
+    ((cores[0].exit_code(), cores[1].exit_code()), bus)
 }
 
 #[test]
@@ -158,7 +223,7 @@ fn producer_consumer_pipe() {
         iterations: 30,
         ..WorkloadCfg::default()
     };
-    let (pe, ce) = run_pair(
+    let ((pe, ce), _) = run_pair(
         &workloads::pipe_producer(&cfg),
         &workloads::pipe_consumer(&cfg),
     );
@@ -172,24 +237,12 @@ fn reserved_counter_no_lost_updates() {
         iterations: 50,
         ..WorkloadCfg::default()
     };
-    let mut bus = wrapper_bus();
-    let mut a = CpuCore::new(0, LocalMemory::new(0, 0x20000));
-    a.load_program(&workloads::reserved_counter(&cfg, true));
-    let mut b = CpuCore::new(1, LocalMemory::new(0, 0x20000));
-    b.load_program(&workloads::reserved_counter(&cfg, false));
-    let mut step = 0u64;
-    while !(a.is_halted() && b.is_halted()) {
-        let (cpu, master) = if step.is_multiple_of(2) { (&mut a, 0) } else { (&mut b, 1) };
-        bus.master = master;
-        match cpu.step(&mut bus) {
-            StepEvent::Executed { .. } | StepEvent::Halted => {}
-            other => panic!("cpu{master}: {other:?}"),
-        }
-        step += 1;
-        assert!(step < 200_000_000, "did not converge");
-    }
-    assert_eq!(a.exit_code(), 0);
-    assert_eq!(b.exit_code(), 0);
+    let ((a, b), mut bus) = run_pair(
+        &workloads::reserved_counter(&cfg, true),
+        &workloads::reserved_counter(&cfg, false),
+    );
+    assert_eq!(a, 0);
+    assert_eq!(b, 0);
     // Both CPUs incremented 50 times each; no update lost under the
     // reservation discipline. Verify through a third reader program.
     let mut reader = CpuCore::new(2, LocalMemory::new(0, 0x10000));

@@ -297,7 +297,7 @@ impl McSystem {
     /// Validated caches (pointer-table TLB, decoded-instruction caches,
     /// translation hints), their hit/miss counters and the kernel's
     /// [`FastPathStats`](dmi_kernel::FastPathStats) are *not* captured,
-    /// so the bytes do not depend on which kernel path or ISS engine ran.
+    /// so the bytes do not depend on which kernel path ran.
     /// A restored system rebuilds the caches lazily and counts from
     /// zero; every architectural outcome stays bit-identical. Does not
     /// advance the simulation.
@@ -348,9 +348,9 @@ impl McSystem {
     /// original — cache counters excepted, see `checkpoint`.
     ///
     /// Runtime toggles survive: the snapshot restores onto either kernel
-    /// path and either ISS engine, because those select *how* the same
-    /// schedule executes, not the schedule itself, and this system keeps
-    /// its fault-injection enablement. The fault section is applied only
+    /// path, because that selects *how* the same schedule executes, not
+    /// the schedule itself, and this system keeps its fault-injection
+    /// enablement. The fault section is applied only
     /// when this system carries a fault plan of the same shape (spec
     /// count); otherwise it is skipped — which is what lets a fork
     /// diverge onto a different fault plan.

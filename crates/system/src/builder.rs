@@ -96,9 +96,7 @@ pub struct CpuSpec {
 }
 
 impl CpuSpec {
-    /// A CPU with default local memory. The dispatch engine follows the
-    /// `DMI_PREDECODE` environment default (see
-    /// [`dmi_iss::predecode_default`]).
+    /// A CPU with default local memory.
     pub fn new(program: Program) -> Self {
         CpuSpec {
             program,

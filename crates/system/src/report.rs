@@ -138,8 +138,7 @@ impl RunReport {
 
     /// Per-CPU dispatch summary: one line per core with instruction
     /// count and decoded-instruction-cache hit rate (diagnostics for the
-    /// ISS predecode fast path; reference-interpreter runs report no
-    /// cached fetches).
+    /// ISS's predecoded dispatch).
     pub fn cpu_summary(&self) -> String {
         self.cpus
             .iter()

@@ -7,7 +7,8 @@
 //! are the one documented difference between reports: they are never
 //! serialized and restart from zero after a restore. Checkpoint bytes
 //! of two systems are pinned by CRC, so a fault that both kernel paths
-//! share still shows.
+//! share still shows. A CPU whose saved bus handshake contradicts
+//! itself is rejected at load.
 
 use std::time::Duration;
 
@@ -192,6 +193,83 @@ fn checkpoint_roundtrips_through_disk_bytes() {
     match small.restore(&loaded) {
         Err(SnapshotError::Mismatch { .. }) => {}
         other => panic!("expected Mismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn contradictory_cpu_handshake_is_corrupt() {
+    // Stop the headline right after a cycle cpu0 spent waiting on the bus.
+    let mut sys = gsm_system(true);
+    sys.run_until(&StopCondition::cycles(50_000));
+    loop {
+        let waited = sys.cpu(0).stats().bus_wait_cycles;
+        sys.run_until(&StopCondition::cycles(1));
+        if sys.cpu(0).stats().bus_wait_cycles > waited {
+            break;
+        }
+    }
+    let at = sys.total_cycles();
+    let snap = sys.checkpoint();
+
+    // cpu0's section ends with its bus handshake (state tag, stall
+    // budget, pending flag and 10-byte access, buffered-response flag
+    // and 8-byte response), then three u64 counters and
+    // `halted_driven`. Offsets into that tail while it waits:
+    const PENDING: usize = 1 + 8;
+    const READY: usize = PENDING + 1 + 10;
+    const HALTED: usize = READY + 1 + 3 * 8;
+    let section = snap.section("comp0").expect("cpu0 section");
+    let mut r = dmi_kernel::StateReader::new(section);
+    assert_eq!(r.get_str("component name").unwrap(), "cpu0");
+    let (head, tail) = section.split_at(section.len() - (HALTED + 1));
+    assert_eq!(
+        (tail[0], tail[PENDING], tail[READY], tail[HALTED]),
+        (1, 1, 0, 0),
+        "cpu0 must wait on the bus with one access and no response"
+    );
+    let with_cpu0 = |payload: Vec<u8>| {
+        let mut spliced = dmi_system::Snapshot::new();
+        for name in snap.section_names() {
+            let bytes = if name == "comp0" {
+                payload.clone()
+            } else {
+                snap.section(name).unwrap().to_vec()
+            };
+            spliced.push_section(name, bytes);
+        }
+        spliced
+    };
+
+    // The clean capture, rebuilt through the same splice, resumes and
+    // finishes the headline.
+    let mut twin = gsm_system(true);
+    twin.restore(&with_cpu0(section.to_vec()))
+        .expect("clean waiting capture");
+    let rest = run_to_completion(&mut twin);
+    assert!(rest.all_ok(), "{}", rest.summary());
+    assert_eq!(at + rest.sim_cycles, HEADLINE_CYCLES);
+
+    // A response to the pending address, holding the value 7.
+    let response = [&tail[PENDING + 1..PENDING + 5], &[7, 0, 0, 0]].concat();
+    for (what, payload) in [
+        (
+            "waiting without an access",
+            [head, &tail[..PENDING], &[0], &tail[READY..]].concat(),
+        ),
+        ("ready with an access", [head, &[0], &tail[1..]].concat()),
+        (
+            "a buffered response",
+            [head, &tail[..READY], &[1], &response, &tail[READY + 1..]].concat(),
+        ),
+        (
+            "halted output without a halt",
+            [head, &tail[..HALTED], &[1]].concat(),
+        ),
+    ] {
+        match gsm_system(true).restore(&with_cpu0(payload)) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
     }
 }
 
